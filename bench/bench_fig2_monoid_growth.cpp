@@ -48,7 +48,6 @@ int main() {
     auto Start = std::chrono::steady_clock::now();
     TransitionMonoid::Options Opts;
     Opts.MaxElements = size_t(1) << 23; // 8M cap
-    Opts.DenseTableLimit = 1024;
     TransitionMonoid Mon(M, Opts);
     double T = seconds(Start);
     double Pow = std::pow(double(N), double(N));

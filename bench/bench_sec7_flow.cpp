@@ -84,7 +84,6 @@ void measure(const char *Label, const std::string &Src) {
   // blow-up instead of hanging.
   TransitionMonoid::Options Probe;
   Probe.MaxElements = 10000;
-  Probe.DenseTableLimit = 0;
   TransitionMonoid PairMon(PairM, Probe);
   TransitionMonoid CallMon(CallM, Probe);
 

@@ -486,6 +486,81 @@ else
   echo "note: $EBPF_BIN not built; skipping ebpf pipeline" >&2
 fi
 
+# --- Monoid composition and Figure 2 closure (DESIGN.md §4) ----------
+# Runs bench_sec4_core_scaling's BM_Compose cases (a lookup in a lazily
+# built compose row vs the no-row Cayley-table walk) and
+# bench_fig2_monoid_growth (closure time of the adversarial monoid per
+# |S|), one process of each per round, interleaved across rounds
+# (min-of-9 by default). Appends a "monoid" entry. Skipped when the
+# Figure 2 bench is not built.
+
+FIG2_BIN="${BENCH_FIG2_BIN:-$REPO_ROOT/build/bench/bench_fig2_monoid_growth}"
+MONOID_ROUNDS="${BENCH_MONOID_ROUNDS:-9}"
+
+if [ -x "$FIG2_BIN" ]; then
+  for R in $(seq 1 "$MONOID_ROUNDS"); do
+    "$BIN" --benchmark_filter='BM_Compose' \
+           --benchmark_min_time="$MIN_TIME" \
+           --benchmark_format=json >"$TMPDIR_BENCH/compose_$R.json"
+    "$FIG2_BIN" >"$TMPDIR_BENCH/fig2_$R.txt"
+    echo "monoid round $R/$MONOID_ROUNDS done" >&2
+  done
+
+  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$MONOID_ROUNDS" <<'EOF'
+import json, os, re, statistics, sys
+
+out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+
+compose = {}  # benchmark name -> [ns per compose]
+fig2 = {}     # |S| -> {"elements": N, "ms": [...]}
+# A row of the Figure 2 table: | |S| | |F| | |S|^|S| | unidir | build (s) |
+row = re.compile(r"^\|\s*(\d+)\s*\|\s*(\d+)\+?\s*\|\s*\d+\s*\|\s*\d+\s*\|\s*([\d.]+)\s*\|$")
+for r in range(1, rounds + 1):
+    with open(os.path.join(tmpdir, f"compose_{r}.json")) as f:
+        for b in json.load(f)["benchmarks"]:
+            compose.setdefault(b["name"], []).append(b["real_time"])
+    with open(os.path.join(tmpdir, f"fig2_{r}.txt")) as f:
+        for line in f:
+            m = row.match(line.strip())
+            if m:
+                rec = fig2.setdefault(m.group(1), {"elements": int(m.group(2)), "ms": []})
+                rec["ms"].append(float(m.group(3)) * 1e3)
+
+entry = {
+    "label": label,
+    "benchmark": "monoid",
+    "rounds": rounds,
+    "hardware_threads": os.cpu_count(),
+    "compose_ns": {
+        name: {"min": round(min(v), 2), "median": round(statistics.median(v), 2)}
+        for name, v in sorted(compose.items())
+    },
+    # bench_fig2 prints build time in whole milliseconds.
+    "fig2_closure_ms": {
+        s: {"elements": rec["elements"], "min": round(min(rec["ms"]), 1),
+            "median": round(statistics.median(rec["ms"]), 1)}
+        for s, rec in sorted(fig2.items(), key=lambda kv: int(kv[0]))
+    },
+}
+
+doc = {"runs": []}
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        doc = json.load(f)
+doc.setdefault("runs", []).append(entry)
+with open(out_path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+print(f"appended 'monoid' entry for '{label}' to {out_path}")
+for name, v in entry["compose_ns"].items():
+    print(f"  {name}: min {v['min']} ns")
+for s, v in entry["fig2_closure_ms"].items():
+    print(f"  fig2 |S|={s} ({v['elements']} elements): min {v['min']} ms")
+EOF
+else
+  echo "note: $FIG2_BIN not built; skipping monoid composition" >&2
+fi
+
 # --- Solve-service latency (DESIGN.md §10) -----------------------------
 # Boots rascd on an ephemeral port, drives it with the rascdclient
 # load harness (N concurrent connections, an ADD/SOLVE/ENTAIL mix

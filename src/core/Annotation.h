@@ -51,9 +51,10 @@ public:
   /// with the left operand fixed, composeRowLhs(F)[G] == compose(F, G)
   /// for every currently interned G. The solver hoists the row (and
   /// with it this virtual call) out of its inner closure loops.
-  /// \returns nullptr when no dense table exists; callers must fall
-  /// back to compose(). The pointer is invalidated by interning new
-  /// elements into the domain.
+  /// \returns nullptr when the domain offers no rows; callers must
+  /// fall back to compose(). May be called concurrently (a monoid
+  /// builds each row on its first request). The pointer is
+  /// invalidated by interning new elements into the domain.
   virtual const AnnId *composeRowLhs(AnnId F) const {
     (void)F;
     return nullptr;

@@ -407,7 +407,7 @@ void BidirectionalSolver::process(const Edge &E) {
   if (DstKind == KVar) {
     // Transitive rule forward: E then (Dst ⊆^g S) gives compose(g,
     // E.Ann) with g varying — hoist the right-operand row when the
-    // domain has a dense table (Theorem 2.1's table lookup without
+    // domain offers rows (Theorem 2.1's table lookup without
     // the per-iteration virtual call and row multiply).
     const AnnId *Row = D.composeRowRhs(E.Ann);
     uint32_t Deg = SuccDone[E.Dst];
@@ -696,18 +696,20 @@ BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
 /// Phase 2 (parallel compute) partitions the frontier across workers.
 /// Workers are strictly read-only — frontier slice of the arena,
 /// NodeKind, adjacency prefixes within their scan limits (all
-/// appended before the round), dense composition rows, and read-only
+/// appended before the round), composition rows, and read-only
 /// dedup probes — and write only their own RoundBuf, so the phase is
-/// race-free without any locking. A worker routes each surviving
-/// (not-yet-seen) edge into the mailbox of the dedup shard owning its
-/// destination: one single-producer/single-consumer buffer per
-/// (producer, shard) pair, handed off by the pool barrier. Work that
-/// must mutate shared state is left for the epilogue: constructor
-/// decompositions and watcher projections intern var nodes, and a
-/// scan whose annotation has no dense row would go through the
-/// domain's mutating compose(). Row availability is a pure function
-/// of the domain (fixed at monoid construction), so the epilogue
-/// re-detects those edges with the same null-row test instead of any
+/// race-free without any locking. (The first request for a monoid row
+/// builds it and publishes it atomically; see automata/Monoid.h.) A
+/// worker routes each surviving (not-yet-seen) edge into the mailbox
+/// of the dedup shard owning its destination: one
+/// single-producer/single-consumer buffer per (producer, shard) pair,
+/// handed off by the pool barrier. Work that must mutate shared state
+/// is left for the epilogue: constructor decompositions and watcher
+/// projections intern var nodes, and a scan whose annotation has no
+/// composition row would go through the domain's (possibly
+/// interning) compose(). Row availability is a pure function of the
+/// domain (fixed at monoid construction), so the epilogue re-detects
+/// those edges with the same null-row test instead of any
 /// cross-thread handoff.
 ///
 /// Phase 3 (parallel owner merge) runs one owner per dedup shard:

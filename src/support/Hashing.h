@@ -74,14 +74,6 @@ struct PairHash {
   }
 };
 
-/// Hash functor for std::vector of integral types.
-struct VectorHash {
-  template <typename T>
-  size_t operator()(const std::vector<T> &V) const {
-    return static_cast<size_t>(hashRange(V.begin(), V.end()));
-  }
-};
-
 } // namespace rasc
 
 #endif // RASC_SUPPORT_HASHING_H

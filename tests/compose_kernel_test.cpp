@@ -48,8 +48,8 @@ TEST(ComposeKernel, MapRowMatchesNaiveLoop) {
   }
 }
 
-/// The kernel over a real dense composition row must agree with the
-/// domain's own (memoizing, virtual) compose on every element — both
+/// The kernel over a real composition row must agree with the
+/// domain's own (virtual, table-walking) compose on every element — both
 /// row orientations, across several random minimized machines.
 TEST(ComposeKernel, MapRowMatchesMonoidCompose) {
   unsigned RowsChecked = 0;
@@ -79,8 +79,8 @@ TEST(ComposeKernel, MapRowMatchesMonoidCompose) {
       }
     }
   }
-  // The random machines are small, so the monoid's dense table must
-  // have been built; a silent all-null run would test nothing.
+  // The random machines are small, so the monoid must offer rows; a
+  // silent all-null run would test nothing.
   EXPECT_GT(RowsChecked, 0u);
 }
 

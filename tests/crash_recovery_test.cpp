@@ -27,6 +27,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempPath.h"
 #include "TestSystems.h"
 #include "core/BatchSolver.h"
 #include "dataflow/BitVector.h"
@@ -44,6 +45,7 @@
 #include <vector>
 
 using namespace rasc;
+using testutil::tempPath;
 
 namespace {
 
@@ -135,10 +137,6 @@ WorkCounters work(const SolverStats &S) {
           S.FnVarConstraints, S.CollapsedVars};
 }
 
-std::string snapPath(const std::string &Name) {
-  return ::testing::TempDir() + "rasc_crash_" + Name + ".rsnap";
-}
-
 /// One kill-and-recover cell of the matrix. \returns 1 if the
 /// interrupt actually tripped (for the vacuous-pass guard).
 unsigned checkCrashRecover(uint64_t Seed,
@@ -149,7 +147,8 @@ unsigned checkCrashRecover(uint64_t Seed,
   SolverOptions Base;
   Base.Dedup = Backend;
   const uint64_t N = 1 + Seed % 7;
-  std::string Path = snapPath(std::to_string(Seed) + "_" + kindName(K));
+  std::string Path = tempPath("crash_" + std::to_string(Seed) + "_" +
+                              kindName(K) + ".rsnap");
 
   // "First process": solve with the interrupt armed, checkpoint the
   // state the crash would leave behind, then destroy everything.
@@ -264,7 +263,8 @@ TEST_F(CrashRecovery, KillAfterPeriodicCheckpointRecovers) {
     Fixpoint Expect = queries(SS, *Straight.CS);
     WorkCounters ExpectWork = work(SS.stats());
 
-    std::string Path = snapPath("kill_" + std::to_string(Seed));
+    std::string Path =
+        tempPath("crash_kill_" + std::to_string(Seed) + ".rsnap");
     {
       Rng R(Seed);
       testgen::RandomSystem Sys = testgen::randomSystem(R);
@@ -312,7 +312,7 @@ TEST_F(CrashRecovery, ParallelResumeOfSequentialSnapshot) {
     SS.solve();
     Fixpoint Expect = queries(SS, *Straight.CS);
 
-    std::string Path = snapPath("par_" + std::to_string(Seed));
+    std::string Path = tempPath("crash_par_" + std::to_string(Seed) + ".rsnap");
     {
       Rng R(Seed);
       testgen::RandomSystem Sys = testgen::randomSystem(R);
@@ -359,7 +359,8 @@ TEST_F(CrashRecovery, ShardedSnapshotRoundTrip) {
     Fixpoint Expect = queries(SS, *Straight.CS);
 
     // Sequential interrupt -> sharded resume (exact and relaxed).
-    std::string Path = snapPath("shard_" + std::to_string(Seed));
+    std::string Path =
+        tempPath("crash_shard_" + std::to_string(Seed) + ".rsnap");
     {
       Rng R(Seed);
       testgen::RandomSystem Sys = testgen::randomSystem(R);
@@ -444,7 +445,8 @@ TEST_F(CrashRecovery, LazyDomainNeverRestoresWrong) {
   };
 
   for (uint64_t Seed = 1; Seed != 9; ++Seed) {
-    std::string Path = snapPath("lazy_" + std::to_string(Seed));
+    std::string Path =
+        tempPath("crash_lazy_" + std::to_string(Seed) + ".rsnap");
     Fixpoint Expect;
     {
       Program Prog = makeProg(Seed);
@@ -480,7 +482,7 @@ TEST_F(CrashRecovery, BatchRestartRecoversEveryTask) {
   constexpr size_t NumTasks = 5;
   constexpr uint64_t SeedBase = 101;
 
-  std::string Dir = ::testing::TempDir() + "rasc_batch_ckpt";
+  std::string Dir = tempPath("batch_ckpt");
   std::filesystem::remove_all(Dir);
   std::filesystem::create_directories(Dir);
 

@@ -25,6 +25,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempPath.h"
 #include "TestSystems.h"
 #include "core/Certifier.h"
 #include "core/Snapshot.h"
@@ -40,6 +41,7 @@
 #include <vector>
 
 using namespace rasc;
+using testutil::tempPath;
 
 namespace {
 
@@ -395,10 +397,6 @@ TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
 // Snapshot round-trips of provenance and retraction state
 //===----------------------------------------------------------------===//
 
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "rasc_incremental_" + Name + ".rsnap";
-}
-
 TEST(IncrementalSnapshot, ProvenanceRoundTripThenRetractParity) {
   // Save/restore with the retraction indexes live, under both
   // backends: the restored solver must answer identically, render
@@ -418,7 +416,8 @@ TEST(IncrementalSnapshot, ProvenanceRoundTripThenRetractParity) {
       BidirectionalSolver S(*Sys.CS, O);
       ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
 
-      std::string Path = tempPath("prov_" + std::to_string(Seed));
+      std::string Path =
+          tempPath("incremental_prov_" + std::to_string(Seed) + ".rsnap");
       ASSERT_FALSE(S.saveCheckpoint(Path));
       BidirectionalSolver S2(*Sys.CS, O);
       std::optional<Diag> D = S2.restore(Path);
@@ -468,7 +467,8 @@ TEST(IncrementalSnapshot, PostRetractStateRoundTrips) {
       ASSERT_TRUE(S.retract(Idx));
 
       // v2 snapshots carry the retraction flags and counters.
-      std::string Path = tempPath("post_" + std::to_string(Seed));
+      std::string Path =
+          tempPath("incremental_post_" + std::to_string(Seed) + ".rsnap");
       ASSERT_FALSE(S.saveCheckpoint(Path));
       BidirectionalSolver S2(*Sys.CS, O);
       std::optional<Diag> D = S2.restore(Path);
@@ -503,7 +503,7 @@ TEST(IncrementalSnapshot, RetractionFlagMismatchRejected) {
       incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
   BidirectionalSolver S(*Sys.CS, O);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
-  std::string Path = tempPath("flagskew");
+  std::string Path = tempPath("incremental_flagskew.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path)); // flags all clear in the file
 
   // Flagging the system after the save makes the snapshot stale: a

@@ -8,9 +8,21 @@
 #include "automata/Machines.h"
 #include "automata/Monoid.h"
 #include "automata/RegexParser.h"
+#include "ebpf/Cfg.h"
+#include "ebpf/Decode.h"
+#include "ebpf/Lower.h"
+#include "flow/Analysis.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 using namespace rasc;
 
@@ -153,18 +165,159 @@ TEST(Monoid, SampleWordsRoundTrip) {
   }
 }
 
-TEST(Monoid, DenseAndMemoAgree) {
+/// (F ∘ G)(s) == F(G(s)) on every state: the brute-force definition
+/// every composition path must agree with.
+bool composesTo(const TransitionMonoid &Mon, FnId C, FnId F, FnId G) {
+  for (StateId S = 0; S != Mon.numStates(); ++S)
+    if (Mon.apply(C, S) != Mon.apply(F, Mon.apply(G, S)))
+      return false;
+  return true;
+}
+
+/// Checks compose() on every pair of a fresh monoid (no rows yet, so
+/// the Cayley walk answers), then every right-operand row and compose()
+/// backed by those rows alone, then every left-operand row and
+/// compose() backed by them.
+void expectAllCompositionsMatchApply(const TransitionMonoid &Mon,
+                                     const std::string &What) {
+  SCOPED_TRACE(What);
+  const FnId N = static_cast<FnId>(Mon.size());
+  auto expectCompose = [&](const char *Path) {
+    for (FnId F = 0; F != N; ++F)
+      for (FnId G = 0; G != N; ++G)
+        ASSERT_TRUE(composesTo(Mon, Mon.compose(F, G), F, G))
+            << Path << " F=" << F << " G=" << G;
+  };
+  ASSERT_EQ(Mon.rowsBuilt(), 0u);
+  expectCompose("walk");
+  for (FnId G = 0; G != N; ++G) {
+    const FnId *Rhs = Mon.composeRowRhs(G);
+    ASSERT_NE(Rhs, nullptr);
+    for (FnId F = 0; F != N; ++F)
+      ASSERT_TRUE(composesTo(Mon, Rhs[F], F, G)) << "rhs F=" << F << " G=" << G;
+  }
+  expectCompose("rhs-row-backed");
+  for (FnId F = 0; F != N; ++F) {
+    const FnId *Lhs = Mon.composeRowLhs(F);
+    ASSERT_NE(Lhs, nullptr);
+    for (FnId G = 0; G != N; ++G)
+      ASSERT_TRUE(composesTo(Mon, Lhs[G], F, G)) << "lhs F=" << F << " G=" << G;
+  }
+  EXPECT_EQ(Mon.rowsBuilt(), 2u * N);
+  expectCompose("lhs-row-backed");
+}
+
+TEST(Monoid, RowsAndComposeMatchApply) {
+  for (unsigned N : {2u, 3u, 4u}) {
+    Dfa M = buildAdversarialMachine(N);
+    TransitionMonoid Mon(M);
+    expectAllCompositionsMatchApply(Mon, "adversarial N=" + std::to_string(N));
+  }
+  std::string Err;
+  std::optional<Dfa> M = compileRegex("(a b | b a)* a c* (b | c)", {}, &Err);
+  ASSERT_TRUE(M) << Err;
+  TransitionMonoid Mon(*M);
+  EXPECT_GT(Mon.size(), 10u);
+  expectAllCompositionsMatchApply(Mon, "regex");
+}
+
+/// The flow analysis's pair automaton of a committed eBPF program: the
+/// 906-element monoid whose eager table used to dominate every flow
+/// analysis.
+std::optional<Dfa> ebpfPairAutomaton(const char *File) {
+  std::filesystem::path P =
+      std::filesystem::path(RASC_TEST_DATA_DIR) / "ebpf" / File;
+  std::ifstream In(P, std::ios::binary);
+  EXPECT_TRUE(In.good()) << "cannot open " << P;
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  Expected<ebpf::DecodedProgram> D = ebpf::decode(
+      {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+  if (!D) {
+    ADD_FAILURE() << D.error().render();
+    return std::nullopt;
+  }
+  ebpf::FlowLowering L =
+      ebpf::lowerToFlowProgram(ebpf::buildCfg(std::move(*D)));
+  return buildPairAutomaton(L.Prog);
+}
+
+TEST(Monoid, EbpfPairMonoidRowsMatchApply) {
+  std::optional<Dfa> M = ebpfPairAutomaton("gen-033.bpf");
+  ASSERT_TRUE(M);
+  TransitionMonoid Mon(*M);
+  EXPECT_GT(Mon.size(), 500u);
+  expectAllCompositionsMatchApply(Mon, "ebpf gen-033 pair automaton");
+}
+
+TEST(Monoid, ComposeWithoutRowsMatchesApply) {
+  // Above DenseTableLimit no rows are offered; compose() alone must
+  // still be exact.
   Dfa M = buildAdversarialMachine(4); // 256 elements
-  TransitionMonoid::Options Dense, Memo;
-  Dense.DenseTableLimit = 4096;
-  Memo.DenseTableLimit = 0;
-  TransitionMonoid DenseMon(M, Dense), MemoMon(M, Memo);
-  ASSERT_EQ(DenseMon.size(), MemoMon.size());
-  Rng R(5);
-  for (int Trial = 0; Trial != 2000; ++Trial) {
-    FnId F = static_cast<FnId>(R.below(DenseMon.size()));
-    FnId G = static_cast<FnId>(R.below(DenseMon.size()));
-    EXPECT_EQ(DenseMon.compose(F, G), MemoMon.compose(F, G));
+  TransitionMonoid::Options Opts;
+  Opts.DenseTableLimit = 100;
+  TransitionMonoid Mon(M, Opts);
+  const FnId N = static_cast<FnId>(Mon.size());
+  ASSERT_EQ(N, 256u);
+  for (FnId F = 0; F != N; ++F) {
+    EXPECT_EQ(Mon.composeRowLhs(F), nullptr);
+    EXPECT_EQ(Mon.composeRowRhs(F), nullptr);
+    for (FnId G = 0; G != N; ++G)
+      ASSERT_TRUE(composesTo(Mon, Mon.compose(F, G), F, G))
+          << "F=" << F << " G=" << G;
+  }
+  EXPECT_EQ(Mon.rowsBuilt(), 0u);
+}
+
+TEST(Monoid, RowsAreBuiltLazily) {
+  std::optional<Dfa> M = ebpfPairAutomaton("gen-001.bpf");
+  ASSERT_TRUE(M);
+  TransitionMonoid Mon(*M);
+  EXPECT_EQ(Mon.rowsBuilt(), 0u);
+  FnId F = Mon.symbolFn(0);
+  const FnId *Row = Mon.composeRowLhs(F);
+  EXPECT_EQ(Mon.rowsBuilt(), 1u);
+  EXPECT_EQ(Mon.composeRowLhs(F), Row); // published once, then reused
+  Mon.composeRowRhs(F);
+  EXPECT_EQ(Mon.rowsBuilt(), 2u);
+}
+
+TEST(Monoid, ConcurrentRowFillAgrees) {
+  // Several threads race for the rows of one fresh monoid: even
+  // threads sweep every row in the same order (same-row races), odd
+  // threads start at staggered offsets (different rows at once).
+  // Every thread must see one published row per slot, equal to the
+  // rows of a monoid filled on one thread.
+  Dfa M = buildAdversarialMachine(4); // 256 elements
+  TransitionMonoid Ref(M), Mon(M);
+  const FnId N = static_cast<FnId>(Mon.size());
+  constexpr unsigned Threads = 6;
+  std::vector<std::vector<const FnId *>> Seen(
+      Threads, std::vector<const FnId *>(2 * N));
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      const FnId Offset = T % 2 ? T * 2 * N / Threads : 0;
+      for (FnId I = 0; I != 2 * N; ++I) {
+        FnId Slot = (I + Offset) % (2 * N);
+        Seen[T][Slot] = Slot < N ? Mon.composeRowLhs(Slot)
+                                 : Mon.composeRowRhs(Slot - N);
+      }
+    });
+  Go.store(true, std::memory_order_release);
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  EXPECT_EQ(Mon.rowsBuilt(), 2u * N);
+  for (FnId Slot = 0; Slot != 2 * N; ++Slot) {
+    const FnId *Want = Slot < N ? Ref.composeRowLhs(Slot)
+                                : Ref.composeRowRhs(Slot - N);
+    for (unsigned T = 0; T != Threads; ++T)
+      ASSERT_EQ(Seen[T][Slot], Seen[0][Slot]) << "slot " << Slot;
+    ASSERT_TRUE(std::equal(Want, Want + N, Seen[0][Slot])) << "slot " << Slot;
   }
 }
 

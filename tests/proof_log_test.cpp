@@ -29,6 +29,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempPath.h"
 #include "TestSystems.h"
 #include "check/Checker.h"
 #include "core/ProofLog.h"
@@ -45,15 +46,10 @@
 #include <unistd.h>
 
 using namespace rasc;
+using testutil::tempPath;
 using Status = BidirectionalSolver::Status;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return (std::filesystem::path(::testing::TempDir()) /
-          ("prooflog_" + std::to_string(::getpid()) + "_" + Name))
-      .string();
-}
 
 rasccheck::CheckResult check(const std::string &LogPath,
                              const std::string &SystemPath = {}) {
@@ -102,7 +98,7 @@ testgen::RandomSystem smallSystem() {
 // both dedup layouts and with the parallel option set (proof logging
 // pins the sequential closure path, but the option must compose).
 TEST_F(ProofLogTest, CorpusValidatesAcrossBackendsAndThreads) {
-  const std::string Path = tempPath("corpus.rprf");
+  const std::string Path = tempPath("prooflog_corpus.rprf");
   for (uint64_t Seed = 0; Seed != 59; ++Seed) {
     for (auto Backend : {SolverOptions::DedupBackend::Bitset,
                          SolverOptions::DedupBackend::FlatSet}) {
@@ -133,7 +129,7 @@ TEST_F(ProofLogTest, CorpusValidatesAcrossBackendsAndThreads) {
 }
 
 TEST_F(ProofLogTest, TornTailIsIncompleteUntilRecovered) {
-  const std::string Path = tempPath("torn.rprf");
+  const std::string Path = tempPath("prooflog_torn.rprf");
   testgen::RandomSystem Sys = smallSystem();
   SolverOptions O;
   O.ProofLogPath = Path;
@@ -167,7 +163,7 @@ TEST_F(ProofLogTest, TornTailIsIncompleteUntilRecovered) {
 }
 
 TEST_F(ProofLogTest, InjectedTornWriteDegradesNotInterrupts) {
-  const std::string Path = tempPath("tornwrite.rprf");
+  const std::string Path = tempPath("prooflog_tornwrite.rprf");
   testgen::RandomSystem Sys = smallSystem();
   SolverOptions O;
   O.ProofLogPath = Path;
@@ -191,7 +187,7 @@ TEST_F(ProofLogTest, InjectedTornWriteDegradesNotInterrupts) {
 }
 
 TEST_F(ProofLogTest, InjectedFsyncFailDegradesNotInterrupts) {
-  const std::string Path = tempPath("fsyncfail.rprf");
+  const std::string Path = tempPath("prooflog_fsyncfail.rprf");
   testgen::RandomSystem Sys = smallSystem();
   SolverOptions O;
   O.ProofLogPath = Path;
@@ -206,7 +202,7 @@ TEST_F(ProofLogTest, InjectedFsyncFailDegradesNotInterrupts) {
 }
 
 TEST_F(ProofLogTest, InjectedShortReadTruncatesRecovery) {
-  const std::string Path = tempPath("shortread.rprf");
+  const std::string Path = tempPath("prooflog_shortread.rprf");
   testgen::RandomSystem Sys = smallSystem();
   SolverOptions O;
   O.ProofLogPath = Path;
@@ -226,7 +222,7 @@ TEST_F(ProofLogTest, InjectedShortReadTruncatesRecovery) {
 }
 
 TEST_F(ProofLogTest, RebuildFromProvenanceOnStartedSolver) {
-  const std::string Path = tempPath("rebuild.rprf");
+  const std::string Path = tempPath("prooflog_rebuild.rprf");
   for (uint64_t Seed : {3u, 17u, 41u}) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed * 7919 + 17);
@@ -248,8 +244,8 @@ TEST_F(ProofLogTest, RebuildFromProvenanceOnStartedSolver) {
 }
 
 TEST_F(ProofLogTest, RetractSealsUnprovenThenRebuilds) {
-  const std::string Path = tempPath("retract.rprf");
-  const std::string Path2 = tempPath("retract2.rprf");
+  const std::string Path = tempPath("prooflog_retract.rprf");
+  const std::string Path2 = tempPath("prooflog_retract2.rprf");
   testgen::RandomSystem Sys = smallSystem();
   SolverOptions O;
   O.ProofLogPath = Path;
@@ -290,13 +286,13 @@ TEST_F(ProofLogTest, SystemCrossCheckAcceptsSourceRejectsEdit) {
                        "o(Y) <= Z;\n";
   Expected<ConstraintProgram> P = ConstraintProgram::parseEx(Source);
   ASSERT_TRUE(static_cast<bool>(P)) << P.error().render();
-  const std::string Log = tempPath("xcheck.rprf");
+  const std::string Log = tempPath("prooflog_xcheck.rprf");
   SolverOptions O;
   O.ProofLogPath = Log;
   BidirectionalSolver S(P->system(), O);
   ASSERT_EQ(S.solve(), Status::Solved);
 
-  const std::string Rasc = tempPath("xcheck.rasc");
+  const std::string Rasc = tempPath("prooflog_xcheck.rasc");
   {
     std::ofstream F(Rasc);
     F << Source;

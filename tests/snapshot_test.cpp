@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempPath.h"
 #include "TestSystems.h"
 #include "core/Certifier.h"
 #include "core/Snapshot.h"
@@ -29,14 +30,11 @@
 #include <vector>
 
 using namespace rasc;
+using testutil::tempPath;
 
 namespace {
 
 using Status = BidirectionalSolver::Status;
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "rasc_snapshot_" + Name + ".rsnap";
-}
 
 std::vector<char> slurp(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -113,7 +111,7 @@ TEST_F(Snapshot, ByteRoundTrip) {
 }
 
 TEST_F(Snapshot, WriterReaderSections) {
-  std::string Path = tempPath("sections");
+  std::string Path = tempPath("snapshot_sections.rsnap");
   SnapshotWriter W;
   W.beginSection(sectionTag("AAAA")).u32(7);
   W.beginSection(sectionTag("BBBB")).u64(9);
@@ -133,7 +131,7 @@ TEST_F(Snapshot, WriterReaderSections) {
 }
 
 TEST_F(Snapshot, ReaderRejectsTruncationAtEveryLength) {
-  std::string Path = tempPath("trunc");
+  std::string Path = tempPath("snapshot_trunc.rsnap");
   SnapshotWriter W;
   ByteWriter &B = W.beginSection(sectionTag("DATA"));
   for (uint32_t I = 0; I != 16; ++I)
@@ -154,7 +152,7 @@ TEST_F(Snapshot, ReaderRejectsTruncationAtEveryLength) {
 }
 
 TEST_F(Snapshot, ReaderRejectsTrailingGarbage) {
-  std::string Path = tempPath("trailing");
+  std::string Path = tempPath("snapshot_trailing.rsnap");
   SnapshotWriter W;
   W.beginSection(sectionTag("DATA")).u32(1);
   ASSERT_FALSE(W.commit(Path, 1));
@@ -181,7 +179,8 @@ void roundTrip(uint64_t Seed, SolverOptions::DedupBackend Backend) {
   Status St = S.solve();
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
 
-  std::string Path = tempPath("roundtrip_" + std::to_string(Seed));
+  std::string Path =
+      tempPath("snapshot_roundtrip_" + std::to_string(Seed) + ".rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
 
   BidirectionalSolver S2(*Sys.CS, Opts);
@@ -219,7 +218,7 @@ TEST_F(Snapshot, RoundTripWithProvenance) {
   Opts.TrackProvenance = true;
   BidirectionalSolver S(*Sys.CS, Opts);
   S.solve();
-  std::string Path = tempPath("prov");
+  std::string Path = tempPath("snapshot_prov.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
 
   BidirectionalSolver S2(*Sys.CS, Opts);
@@ -237,7 +236,7 @@ TEST_F(Snapshot, RestoreRequiresFreshSolver) {
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
   S.solve();
-  std::string Path = tempPath("fresh");
+  std::string Path = tempPath("snapshot_fresh.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
   EXPECT_TRUE(S.restore(Path)); // already started
   std::remove(Path.c_str());
@@ -247,7 +246,7 @@ TEST_F(Snapshot, RestoreMissingFileIsDiag) {
   Rng R(3);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
-  EXPECT_TRUE(S.restore(tempPath("does_not_exist")));
+  EXPECT_TRUE(S.restore(tempPath("snapshot_does_not_exist.rsnap")));
   EXPECT_TRUE(S.unstarted());
 }
 
@@ -266,7 +265,7 @@ TEST_F(Snapshot, BitFlipFuzzNeverWrong) {
   S.solve();
   Fixpoint Expect = fixpoint(S, *Sys.CS);
 
-  std::string Path = tempPath("fuzz");
+  std::string Path = tempPath("snapshot_fuzz.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
   const std::vector<char> Good = slurp(Path);
   ASSERT_FALSE(Good.empty());
@@ -299,7 +298,7 @@ TEST_F(Snapshot, VersionSkewRejected) {
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
   S.solve();
-  std::string Path = tempPath("verskew");
+  std::string Path = tempPath("snapshot_verskew.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
 
   // Re-frame the same sections under an unknown (newer) version: the
@@ -334,7 +333,7 @@ TEST_F(Snapshot, MismatchedOptionsRejected) {
   SolverOptions Opts;
   BidirectionalSolver S(*Sys.CS, Opts);
   S.solve();
-  std::string Path = tempPath("optmismatch");
+  std::string Path = tempPath("snapshot_optmismatch.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
 
   SolverOptions Flipped = Opts;
@@ -355,7 +354,7 @@ TEST_F(Snapshot, MismatchedSystemRejected) {
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
   S.solve();
-  std::string Path = tempPath("sysmismatch");
+  std::string Path = tempPath("snapshot_sysmismatch.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
 
   // A system from a different seed: different constraint prefix (and
@@ -377,7 +376,7 @@ TEST_F(Snapshot, TornWriteRejectedAtLoad) {
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
   S.solve();
-  std::string Path = tempPath("torn");
+  std::string Path = tempPath("snapshot_torn.rsnap");
   {
     failpoints::ScopedFailPoint Torn(failpoints::Point::TornWrite, 0);
     // The torn commit *reports success* — the data loss is only
@@ -399,7 +398,7 @@ TEST_F(Snapshot, FsyncFailKeepsPreviousSnapshot) {
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
   S.solve();
-  std::string Path = tempPath("fsync");
+  std::string Path = tempPath("snapshot_fsync.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
   const std::vector<char> Good = slurp(Path);
 
@@ -419,7 +418,7 @@ TEST_F(Snapshot, ShortReadRejectedThenLoads) {
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS);
   S.solve();
-  std::string Path = tempPath("shortread");
+  std::string Path = tempPath("snapshot_shortread.rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
 
   {
@@ -450,7 +449,7 @@ TEST_F(Snapshot, ScopedFailPointDisarmsOnExit) {
 TEST_F(Snapshot, PeriodicCheckpointsSavedDuringSolve) {
   Rng R(13);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  std::string Path = tempPath("periodic");
+  std::string Path = tempPath("snapshot_periodic.rsnap");
   SolverOptions Opts;
   Opts.CheckpointEveryPops = 1;
   Opts.CheckpointPath = Path;
