@@ -68,7 +68,6 @@ uint32_t editTarget(const ConstraintSystem &CS) {
 
 SolverOptions incrementalOptions() {
   SolverOptions O;
-  O.Incremental = true;
   O.TrackProvenance = true;
   return O;
 }

@@ -10,20 +10,19 @@
 ///   * BM_SolveDagParallel — frontier-parallel closure inside one
 ///     solve, on the BM_SolveDag workload of bench_sec4_core_scaling
 ///     (random annotated DAG over the 1-bit machine), for
-///     Threads ∈ {1, 2, 4, 8}. Threads = 1 is the sequential code
+///     Threads ∈ {1, 2, 4}. Threads = 1 is the sequential code
 ///     path, so the /1 rows double as a regression check against
 ///     BM_SolveDag itself.
 ///
-///   * BM_SolveDagSharded — the same workload through the sharded
-///     merge (owner-partitioned dedup, per-(producer,shard)
-///     mailboxes), sweeping MergeShards at a fixed thread count, plus
-///     a RelaxedParallelStats row (skips the exact-stats sequential
-///     limits sweep; fixpoint identical, see DESIGN.md §8).
+///   * BM_SolveLargeParallel — the same sweep on the largest in-repo
+///     systems, where rounds are wide enough to pay: the n = 3200 DAG
+///     over the 1-bit machine, and the Section 5(b) shape (adversarial
+///     machine with |S| = 4, 1600 variables, seed 7).
 ///
 ///   * BM_BatchSolve — batch throughput of the SolvePool on the
 ///     Section 5 workload (random DAG over the adversarial machine):
 ///     K independent systems solved per iteration through one
-///     BatchSolver, for pool widths {1, 2, 4, 8}.
+///     BatchSolver, for pool widths {1, 2, 4}.
 ///
 /// Speedups above 1 thread require physical cores; on a single-core
 /// host the sweeps are expected flat — bench/run_bench.sh stamps
@@ -90,30 +89,20 @@ void BM_SolveDagParallel(benchmark::State &State) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SolveDagParallel)
-    ->Args({400, 1})
-    ->Args({400, 2})
-    ->Args({400, 4})
-    ->Args({400, 8})
-    ->Args({800, 1})
-    ->Args({800, 2})
-    ->Args({800, 4})
-    ->Args({800, 8})
+    ->ArgsProduct({{400, 800}, {1, 2, 4}})
     ->UseRealTime();
 
-/// Sharded merge on the 800-var DAG: MergeShards swept at Threads = 4
-/// (range(1) = shards, range(2) = relaxed stats). The /4/0/1 row is
-/// the relaxed mode at the default shard count.
-void BM_SolveDagSharded(benchmark::State &State) {
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  unsigned Shards = static_cast<unsigned>(State.range(1));
-  bool Relaxed = State.range(2) != 0;
-  MonoidDomain Dom(buildOneBitMachine());
+/// range(0) selects the system: 0 = the n = 3200 DAG over the 1-bit
+/// machine (seed 42), 1 = the Section 5(b) shape (adversarial machine
+/// with |S| = 4, 1600 variables, seed 7); range(1) = Threads.
+void BM_SolveLargeParallel(benchmark::State &State) {
+  const bool Sec5 = State.range(0) != 0;
+  unsigned Threads = static_cast<unsigned>(State.range(1));
+  MonoidDomain Dom(Sec5 ? buildAdversarialMachine(4) : buildOneBitMachine());
   ConstraintSystem CS(Dom);
-  buildDag(CS, Dom, 800, 42);
+  buildDag(CS, Dom, Sec5 ? 1600 : 3200, Sec5 ? 7 : 42);
   SolverOptions O;
   O.Threads = Threads;
-  O.MergeShards = Shards;
-  O.RelaxedParallelStats = Relaxed;
   double Edges = 0, Rounds = 0;
   for (auto _ : State) {
     BidirectionalSolver S(CS, O);
@@ -127,11 +116,8 @@ void BM_SolveDagSharded(benchmark::State &State) {
       Edges * static_cast<double>(State.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SolveDagSharded)
-    ->Args({4, 1, 0})
-    ->Args({4, 4, 0})
-    ->Args({4, 8, 0})
-    ->Args({4, 0, 1}) // relaxed stats, shards = Threads
+BENCHMARK(BM_SolveLargeParallel)
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
     ->UseRealTime();
 
 /// One Section 5 style system: random DAG over the adversarial
@@ -179,7 +165,7 @@ void BM_BatchSolve(benchmark::State &State) {
       static_cast<double>(K) * static_cast<double>(State.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BatchSolve)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_BatchSolve)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 } // namespace
 

@@ -90,9 +90,10 @@ for size, rec in sorted(per_size.items()):
 EOF
 
 # --- Thread-scaling sweep (DESIGN.md §8) -------------------------------
-# Runs bench_parallel_batch (frontier-parallel BM_SolveDagParallel at
-# Threads 1/2/4/8 and the BM_BatchSolve pool sweep) and appends a
-# "parallel" entry. Every round is one process invocation covering all
+# Runs bench_parallel_batch (frontier-parallel BM_SolveDagParallel and
+# BM_SolveLargeParallel at Threads 1/2/4, and the BM_BatchSolve pool
+# sweep at widths 1/2/4) and appends a "parallel" entry. Every round
+# is one process invocation covering all
 # thread counts, so the configurations are interleaved A/B across
 # rounds; per configuration we keep min and median (min-of-9 by
 # default — the robust statistic on shared machines). Skipped when the
@@ -102,11 +103,11 @@ PAR_BIN="${BENCH_PARALLEL_BIN:-$REPO_ROOT/build/bench/bench_parallel_batch}"
 PAR_ROUNDS="${BENCH_PARALLEL_ROUNDS:-9}"
 
 # The widest configuration the parallel sweeps reach (Threads / pool
-# width 8). Speedup claims from a host with fewer hardware threads
+# width 4). Speedup claims from a host with fewer hardware threads
 # than that are meaningless — warn loudly and stamp the entry so a
 # reader of BENCH_solver.json can tell honest flat numbers from a
 # regression.
-MAX_SWEPT_THREADS=8
+MAX_SWEPT_THREADS=4
 HW_THREADS="$(nproc 2>/dev/null || echo 1)"
 if [ "$HW_THREADS" -lt "$MAX_SWEPT_THREADS" ]; then
   echo "==========================================================" >&2
@@ -141,7 +142,7 @@ for r in range(1, rounds + 1):
             if k in b:
                 rec["counters"][k] = round(float(b[k]), 3)
 
-MAX_SWEPT_THREADS = 8
+MAX_SWEPT_THREADS = 4
 entry = {
     "label": label,
     "benchmark": "parallel",

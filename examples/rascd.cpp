@@ -24,7 +24,10 @@
 ///   --session-max-steps N    per-session compose-step budget (0)
 ///   --session-max-memory B   per-session memory budget, bytes (0)
 ///   --max-memory B       aggregate memory cap across systems (0)
-///   --solve-threads N    frontier-parallel closure width per solve (1)
+///   --solve-threads N    frontier-parallel closure width per solve (1);
+///                        no effect while resident solvers track
+///                        provenance for RETRACT (the default), which
+///                        pins the sequential closure
 ///   --checkpoint-every-pops N  periodic checkpoint cadence (2^14)
 ///   --idle-timeout-ms N  per-session read/stall budget (30000)
 ///   --write-timeout-ms N per-response write budget (5000)

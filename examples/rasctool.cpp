@@ -31,7 +31,9 @@
 ///   --step-budget N  stop after N compose steps (0 = unlimited)
 ///   --deadline S     wall-clock budget in seconds (0 = none);
 ///                    in batch mode this is shared by the whole batch
-///   --threads N      single file: frontier-parallel closure workers;
+///   --threads N      single file: frontier-parallel closure workers
+///                    (ignored with --explain, --retract, --incremental
+///                    or --prove, which pin the sequential closure);
 ///                    batch: solve pool width (0 = hardware threads)
 ///   --batch DIR      solve every .rasc file under DIR concurrently on
 ///                    one SolvePool, then print per-system status and
@@ -42,15 +44,16 @@
 ///                    constraint N (0-based ingestion order) and
 ///                    re-solve incrementally (DESIGN.md section 11);
 ///                    repeatable, applied in order. Implies
-///                    provenance + incremental indexes. Falls back to
-///                    a fresh re-solve if the incremental
-///                    preconditions fail (e.g. after cycle collapse).
-///   --incremental    solve with the provenance + incremental indexes
-///                    maintained even without --retract — needed to
-///                    restore/--certify snapshots written by an
-///                    incremental solver (e.g. rascd's, which keeps
-///                    retraction live by default): snapshot options
-///                    are semantic and must match on restore.
+///                    provenance tracking, which maintains the
+///                    retraction indexes. Falls back to a fresh
+///                    re-solve if the incremental preconditions fail
+///                    (e.g. after cycle collapse).
+///   --incremental    solve with provenance tracking (and so the
+///                    retraction indexes) even without --retract —
+///                    needed to restore/--certify snapshots written by
+///                    a provenance-tracking solver (e.g. rascd's, which
+///                    keeps retraction live by default): snapshot
+///                    options are semantic and must match on restore.
 ///
 /// Durability (DESIGN.md section 7, "Durability"):
 ///
@@ -239,12 +242,9 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
               Name, P->system().constraints().size(),
               Dom.machine().numStates(), Dom.size());
 
-  Cli.Solver.TrackProvenance |= Cli.Explain;
-  if (!Cli.Retract.empty()) {
-    // The retraction indexes must exist from the first solve.
-    Cli.Solver.TrackProvenance = true;
-    Cli.Solver.Incremental = true;
-  }
+  // Witnesses and the retraction indexes need provenance from the
+  // first solve.
+  Cli.Solver.TrackProvenance |= Cli.Explain || !Cli.Retract.empty();
   Cli.Solver.Threads = Cli.Threads;
   Cli.Solver.CheckpointPath = Cli.CheckpointPath;
   BidirectionalSolver Solver(P->system(), Cli.Solver);
@@ -753,7 +753,6 @@ int main(int Argc, char **Argv) {
         return 1;
       Cli.Retract.push_back(static_cast<uint32_t>(N));
     } else if (Arg == "--incremental") {
-      Cli.Solver.Incremental = true;
       Cli.Solver.TrackProvenance = true;
     } else if (Arg == "--prove") {
       if (I + 1 >= Argc) {

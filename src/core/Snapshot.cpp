@@ -98,7 +98,7 @@ BidirectionalSolver::saveCheckpoint(const std::string &Path) const {
     B.u8(static_cast<uint8_t>(resolveDedupBackend(Options, D)));
     B.u8(Options.FilterUseless);
     B.u8(Options.CycleElimination);
-    B.u8(Options.EagerFunctionVars);
+    B.u8(0); // retired eager fn-var flag; a 1 never restores
     B.u8(Options.TrackProvenance);
     B.u8(static_cast<uint8_t>(Eff));
     B.u64(D.size());
@@ -240,7 +240,7 @@ BidirectionalSolver::saveCheckpoint(const std::string &Path) const {
     B.u64(Stats.RequeuedEdges);
     B.f64(Stats.IngestSeconds);
     B.f64(Stats.ClosureSeconds);
-    B.f64(Stats.FnVarSeconds);
+    B.f64(0); // retired eager fn-var timing; kept for the format
   }
 
   if (Options.TrackProvenance) {
@@ -302,7 +302,7 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
   uint8_t SnapBackend = M.u8();
   bool SnapFilterUseless = M.u8();
   bool SnapCycleElim = M.u8();
-  bool SnapEagerFnVars = M.u8();
+  bool SnapEagerFnVars = M.u8(); // retired option: always written 0
   bool SnapTrackProv = M.u8();
   uint8_t SnapStatus = M.u8();
   uint64_t SnapDomSize = M.u64();
@@ -326,7 +326,7 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
     return rejected(Path, "dedup backend mismatch");
   if (SnapFilterUseless != Options.FilterUseless ||
       SnapCycleElim != Options.CycleElimination ||
-      SnapEagerFnVars != Options.EagerFunctionVars ||
+      SnapEagerFnVars ||
       SnapTrackProv != Options.TrackProvenance)
     return rejected(Path, "semantic solver options mismatch");
 
@@ -644,7 +644,7 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
   }
   LocalStats.IngestSeconds = StS->f64();
   LocalStats.ClosureSeconds = StS->f64();
-  LocalStats.FnVarSeconds = StS->f64();
+  (void)StS->f64(); // retired eager fn-var timing
   if (StS->bad() || !StS->atEnd())
     return rejected(Path, "malformed STAT section");
   if (LocalStats.FnVarConstraints != NumFv)
@@ -758,13 +758,13 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
   for (ExprId E = 0; E != CS.numExprs(); ++E)
     if (CS.expr(E).Kind == ExprKind::Var)
       VarNode[CS.expr(E).V] = E;
-  EagerFnVarSol.clear();
+  FnVarSol.clear();
   FnVarSolFresh = false;
   PopsSinceCheckpoint = 0;
   // The retraction indexes (parent arena indices plus the triple map
   // resolving premise edges) are a deterministic function of the
   // committed provenance records, so they are rebuilt, not stored.
-  if (incrementalActive())
+  if (Options.TrackProvenance)
     rebuildProvIndex();
 
   //===--------------------------------------------------------------===//

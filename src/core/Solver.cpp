@@ -41,20 +41,19 @@ BidirectionalSolver::resolveDedupBackend(const SolverOptions &Opts,
                                              : EdgeDedup::Backend::Flat;
 }
 
-/// Resolves SolverOptions::MergeShards at construction: 0 follows the
-/// thread count (hardware threads when that is 0 too), so the default
-/// sequential solver gets exactly one segment — the plain EdgeDedup
-/// fast path — and a parallel solver gets one shard per worker. The
-/// ceiling only bounds scratch for absurd explicit values; it is far
-/// above any thread count that pays off.
-unsigned BidirectionalSolver::resolveMergeShards(const SolverOptions &Opts) {
-  unsigned P = Opts.MergeShards;
-  if (P == 0)
-    P = Opts.Threads ? Opts.Threads : ThreadPool::hardwareThreads();
-  return std::min(P, 256u);
-}
-
 namespace {
+
+/// Smallest pending frontier worth a parallel round (see
+/// BidirectionalSolver::ParallelFrontierThreshold).
+constexpr uint32_t DefaultParallelFrontierThreshold = 128;
+
+/// SolverOptions::Threads with 0 resolved to the hardware thread
+/// count. At construction this is also the dedup shard count, so the
+/// default sequential solver gets exactly one segment — the plain
+/// EdgeDedup fast path — and a parallel solver one shard per worker.
+unsigned resolveThreads(const SolverOptions &Opts) {
+  return Opts.Threads ? Opts.Threads : ThreadPool::hardwareThreads();
+}
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -115,8 +114,9 @@ BidirectionalSolver::BidirectionalSolver(const ConstraintSystem &CS,
                                          SolverOptions Opts)
     : CS(CS), Options(Opts),
       EdgeSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size(),
-               resolveMergeShards(Opts)),
-      FnVarSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()) {}
+               resolveThreads(Opts)),
+      FnVarSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()),
+      ParallelFrontierThreshold(DefaultParallelFrontierThreshold) {}
 
 BidirectionalSolver::~BidirectionalSolver() = default;
 
@@ -351,15 +351,13 @@ void BidirectionalSolver::insertFreshEdge(ExprId Src, ExprId Dst,
   EdgeArena.push_back({Src, Dst, Ann});
   if (Options.TrackProvenance) {
     EdgeProvs.push_back(CurProv);
-    if (Options.Incremental) {
-      // Retraction indexes: register this triple and resolve the
-      // premise triples to their arena indices while they are O(1)
-      // lookups (premises are always already-inserted edges).
-      uint32_t I = static_cast<uint32_t>(EdgeArena.size() - 1);
-      registerProvEdge(Src, Dst, Ann, I);
-      ProvPar1.push_back(provEdgeIndex(CurProv.P1));
-      ProvPar2.push_back(provEdgeIndex(CurProv.P2));
-    }
+    // Retraction indexes: register this triple and resolve the
+    // premise triples to their arena indices while they are O(1)
+    // lookups (premises are always already-inserted edges).
+    uint32_t I = static_cast<uint32_t>(EdgeArena.size() - 1);
+    registerProvEdge(Src, Dst, Ann, I);
+    ProvPar1.push_back(provEdgeIndex(CurProv.P1));
+    ProvPar2.push_back(provEdgeIndex(CurProv.P2));
   }
   if (Proof)
     emitProofEdge(/*IsConflict=*/false, Src, Dst, Ann);
@@ -650,7 +648,7 @@ BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
         return S;
     }
     size_t Frontier = EdgeArena.size() - PendingHead;
-    if (Frontier < Options.ParallelFrontierThreshold) {
+    if (Frontier < ParallelFrontierThreshold) {
       Edge E = EdgeArena[PendingHead++]; // by value: process() appends
       process(E);
       Frontier = 1;
@@ -680,18 +678,9 @@ BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
 /// Each 2-path is therefore joined by exactly the later of its two
 /// edges, once, just as in process(); the join *sets* of the two
 /// modes coincide, so by confluence so do the fixpoints — and so do
-/// the stats totals (see phase 4). Options.RelaxedParallelStats
-/// skips the snapshots entirely: workers scan the full current
-/// adjacency degrees, which are stable during the read-only compute
-/// phase because every arena edge was appended to both lists at
-/// insertion. The relaxed scans are a *superset* of the exact join
-/// schedule — every adjacent pair is joined by at least its later
-/// edge, possibly by both — so the fixpoint is unchanged while
-/// ComposeCalls/EdgesDropped may exceed the sequential totals. The
-/// processed-prefix counters still advance exactly once per frontier
-/// edge in either mode: the certifier's recount and a sequential
-/// resume depend on their exactness, not on which schedule performed
-/// the joins.
+/// the stats totals (see phase 4). The counters advance exactly once
+/// per frontier edge, which the certifier's recount and a sequential
+/// resume depend on.
 ///
 /// Phase 2 (parallel compute) partitions the frontier across workers.
 /// Workers are strictly read-only — frontier slice of the arena,
@@ -727,7 +716,7 @@ BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
 /// still the single writer for those — then appends the shards'
 /// fresh lists (shard-major: a fixed, deterministic order) through
 /// insertFreshEdge: useless filter, conflict check, arena and
-/// adjacency appends, all sequential. Exact-mode stats still match
+/// adjacency appends, all sequential. The stats still match
 /// the sequential run at any fixpoint: joins are in bijection with
 /// the final edge set's adjacent pairs and insertions with its
 /// unique derived triples, so the attempt multiset is
@@ -745,28 +734,17 @@ void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
   constexpr uint8_t KCons = static_cast<uint8_t>(ExprKind::Cons);
   constexpr uint8_t KVar = static_cast<uint8_t>(ExprKind::Var);
   const size_t Base = PendingHead;
-  const bool Relaxed = Options.RelaxedParallelStats;
   const unsigned NumShards = EdgeSeen.numShards();
 
-  // Phase 1: limits sweep — or, relaxed, just the exact bulk advance
-  // of the processed-prefix counters (resumability and certification
-  // need the counters; the relaxed scans don't need the snapshots).
-  if (!Relaxed) {
-    RoundSuccLimit.resize(Frontier);
-    RoundPredLimit.resize(Frontier);
-    for (size_t J = 0; J != Frontier; ++J) {
-      const Edge &E = EdgeArena[Base + J];
-      RoundSuccLimit[J] = SuccDone[E.Dst];
-      RoundPredLimit[J] = PredDone[E.Src];
-      ++SuccDone[E.Src];
-      ++PredDone[E.Dst];
-    }
-  } else {
-    for (size_t J = 0; J != Frontier; ++J) {
-      const Edge &E = EdgeArena[Base + J];
-      ++SuccDone[E.Src];
-      ++PredDone[E.Dst];
-    }
+  // Phase 1: limits sweep.
+  RoundSuccLimit.resize(Frontier);
+  RoundPredLimit.resize(Frontier);
+  for (size_t J = 0; J != Frontier; ++J) {
+    const Edge &E = EdgeArena[Base + J];
+    RoundSuccLimit[J] = SuccDone[E.Dst];
+    RoundPredLimit[J] = PredDone[E.Src];
+    ++SuccDone[E.Src];
+    ++PredDone[E.Dst];
   }
 
   // Phase 2: compute.
@@ -799,8 +777,7 @@ void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
         continue; // decompose interns var nodes: epilogue
       if (DstKind == KVar) {
         if (const AnnId *Row = D.composeRowRhs(E.Ann)) {
-          const uint32_t Deg =
-              Relaxed ? Succs.degree(E.Dst) : RoundSuccLimit[J];
+          const uint32_t Deg = RoundSuccLimit[J];
           B.ComposeCalls += Deg;
           Succs.forEachChunks(
               E.Dst, Deg,
@@ -809,11 +786,9 @@ void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
                 for (uint32_t I = 0; I != N; ++I)
                   emit(E.Src, Ch.Peers[I], Comp[I]);
               });
-          // Exact mode joins a self-loop with itself explicitly:
-          // neither processing event sees the other inside a
-          // processed prefix. The relaxed full-degree scan already
-          // covered it — E is its own Succs[E.Dst] entry.
-          if (!Relaxed && E.Src == E.Dst) {
+          // A self-loop joins with itself explicitly: neither
+          // processing event sees the other inside a processed prefix.
+          if (E.Src == E.Dst) {
             ++B.ComposeCalls;
             emit(E.Src, E.Dst, Row[E.Ann]);
           }
@@ -822,8 +797,7 @@ void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
       }
       if (SrcKind == KVar) {
         if (const AnnId *Row = D.composeRowLhs(E.Ann)) {
-          const uint32_t Deg =
-              Relaxed ? Preds.degree(E.Src) : RoundPredLimit[J];
+          const uint32_t Deg = RoundPredLimit[J];
           B.ComposeCalls += Deg;
           Preds.forEachChunks(
               E.Src, Deg,
@@ -878,19 +852,14 @@ void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
     if (DstKind == KVar) {
       const AnnId *Row = D.composeRowRhs(E.Ann);
       if (!Row) {
-        // Relaxed scans read the degree at epilogue time: a superset
-        // of the exact limit (append-safe; entries appended by this
-        // loop's own addEdges past the bound are pending edges that
-        // run their own scans later).
-        const uint32_t Lim =
-            Relaxed ? Succs.degree(E.Dst) : RoundSuccLimit[J];
+        const uint32_t Lim = RoundSuccLimit[J];
         Stats.ComposeCalls += Lim;
         Succs.forEachChunks(
             E.Dst, Lim, [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
               for (uint32_t I = 0; I != N; ++I)
                 addEdge(E.Src, Ch.Peers[I], D.compose(Ch.Anns[I], E.Ann));
             });
-        if (!Relaxed && E.Src == E.Dst) {
+        if (E.Src == E.Dst) {
           ++Stats.ComposeCalls;
           addEdge(E.Src, E.Dst, D.compose(E.Ann, E.Ann));
         }
@@ -912,8 +881,7 @@ void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
     }
     if (SrcKind == KVar) {
       if (!D.composeRowLhs(E.Ann)) {
-        const uint32_t Lim =
-            Relaxed ? Preds.degree(E.Src) : RoundPredLimit[J];
+        const uint32_t Lim = RoundPredLimit[J];
         Stats.ComposeCalls += Lim;
         Preds.forEachChunks(
             E.Src, Lim, [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
@@ -1002,8 +970,7 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
   // tracking records arena order (which rounds permute), so it pins
   // the sequential path too — and so does a live proof log, whose
   // records must name premises in the order derivations happened.
-  unsigned Threads =
-      Options.Threads ? Options.Threads : ThreadPool::hardwareThreads();
+  unsigned Threads = resolveThreads(Options);
   Status S;
   {
     RASC_TRACE_SCOPE("solver.closure", pendingEdges(), Threads);
@@ -1013,15 +980,7 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
   }
 
   Stats.ClosureSeconds += secondsSince(ClosureStart);
-  auto FnVarStart = std::chrono::steady_clock::now();
-
   FnVarSolFresh = false;
-  if (Options.EagerFunctionVars && S == Status::Solved) {
-    RASC_TRACE_SCOPE("solver.fnvar");
-    runEagerFnVars();
-  }
-
-  Stats.FnVarSeconds += secondsSince(FnVarStart);
 
   if (S == Status::Solved) {
     Stat = Conflicts.empty() ? Status::Solved : Status::Inconsistent;
@@ -1084,8 +1043,6 @@ void BidirectionalSolver::recordSolveMetrics(
       .add(Ns(Stats.IngestSeconds - Before.IngestSeconds));
   M.counter("solver.closure_ns")
       .add(Ns(Stats.ClosureSeconds - Before.ClosureSeconds));
-  M.counter("solver.fnvar_ns")
-      .add(Ns(Stats.FnVarSeconds - Before.FnVarSeconds));
   M.gauge("solver.monoid_size").set(CS.domain().size());
   M.gauge("solver.dedup_bytes").set(EdgeSeen.memoryBytes());
   M.gauge("solver.memory_bytes").set(memoryBytes());
@@ -1363,9 +1320,9 @@ void BidirectionalSolver::rebuildProvIndex() {
 ///    system reaches — differentially tested and certified.
 Expected<BidirectionalSolver::Status>
 BidirectionalSolver::retract(uint32_t Idx) {
-  if (!incrementalActive())
-    return Diag("retract: requires SolverOptions::Incremental and "
-                "SolverOptions::TrackProvenance from the first solve()");
+  if (!Options.TrackProvenance)
+    return Diag("retract: requires SolverOptions::TrackProvenance from "
+                "the first solve()");
   if (Idx >= CS.constraints().size())
     return Diag("retract: constraint index " + std::to_string(Idx) +
                 " out of range (have " +
@@ -1378,12 +1335,9 @@ BidirectionalSolver::retract(uint32_t Idx) {
                 "Inconsistent with an empty worklist); resume the "
                 "interrupted solve first");
   if (EdgeProvs.size() != EdgeArena.size() ||
-      ConflictProvs.size() != Conflicts.size() ||
-      ProvPar1.size() != EdgeArena.size() ||
-      ProvPar2.size() != EdgeArena.size())
+      ConflictProvs.size() != Conflicts.size())
     return Diag("retract: provenance records are incomplete — "
-                "Incremental and TrackProvenance must both be on from "
-                "the first solve()");
+                "TrackProvenance must be on from the first solve()");
   const Constraint &RC = CS.constraints()[Idx];
   if (Stats.CollapsedVars > 0 && RC.Ann == CS.domain().identity() &&
       CS.expr(RC.Lhs).Kind == ExprKind::Var &&
@@ -1661,7 +1615,7 @@ BidirectionalSolver::retract(uint32_t Idx) {
                   CS.domain().size());
     for (const FnVarConstraint &C : FnVarCons)
       FnVarSeen.insert(C.From, C.To, C.Fn);
-    EagerFnVarSol.clear();
+    FnVarSol.clear();
     FnVarSolFresh = false;
   }
   Succs.clear();
@@ -1727,13 +1681,13 @@ void BidirectionalSolver::resetToFresh() {
   SuccDone.clear();
   PredDone.clear();
   EdgeSeen = ShardedEdgeDedup(resolveDedupBackend(Options, D), D.size(),
-                              resolveMergeShards(Options));
+                              resolveThreads(Options));
   EdgeArena.clear();
   PendingHead = 0;
   Conflicts.clear();
   FnVarCons.clear();
   FnVarSeen = EdgeDedup(resolveDedupBackend(Options, D), D.size());
-  EagerFnVarSol.clear();
+  FnVarSol.clear();
   FnVarSolFresh = false;
   VarNode.clear();
   PopsSinceCheckpoint = 0;
@@ -1987,18 +1941,16 @@ std::vector<std::vector<AnnId>> BidirectionalSolver::fnVarLeastSolution(
 
 const std::vector<std::vector<AnnId>> &
 BidirectionalSolver::fnVarSolution() const {
-  if (!FnVarSolFresh || EagerFnVarSol.size() != CS.numFnVars()) {
+  if (!FnVarSolFresh || FnVarSol.size() != CS.numFnVars()) {
     std::vector<std::pair<FnVarId, AnnId>> Seeds;
     Seeds.reserve(CS.numFnVars());
     for (FnVarId A = 0, E = CS.numFnVars(); A != E; ++A)
       Seeds.emplace_back(A, CS.domain().identity());
-    EagerFnVarSol = fnVarLeastSolution(Seeds);
+    FnVarSol = fnVarLeastSolution(Seeds);
     FnVarSolFresh = true;
   }
-  return EagerFnVarSol;
+  return FnVarSol;
 }
-
-void BidirectionalSolver::runEagerFnVars() { (void)fnVarSolution(); }
 
 AtomReachability
 BidirectionalSolver::atomReachability(ConsId Atom,

@@ -69,12 +69,6 @@ struct SolverOptions {
   /// sound to collapse in the annotated setting).
   bool CycleElimination = true;
 
-  /// Maintain the function-variable least solution (seeded with the
-  /// identity everywhere) during solving instead of reconstructing it
-  /// at query time. The paper's implementation omits the eager work
-  /// (Section 8); both modes answer queries identically.
-  bool EagerFunctionVars = false;
-
   /// Cap on inserted edges; 0 = unlimited. Reaching it interrupts the
   /// closure with Status::EdgeLimit (protects the superexponential
   /// bidirectional worst case, Section 4). The interrupt is
@@ -112,48 +106,16 @@ struct SolverOptions {
   /// Worker threads for the frontier-parallel closure (DESIGN.md §8):
   /// 1 (the default) runs the sequential algorithm, bit-for-bit the
   /// single-threaded code path; 0 means one thread per hardware
-  /// thread. With more than one thread the closure runs in
-  /// bulk-synchronous rounds — the pending frontier is partitioned
-  /// across workers that compute 2-path joins into per-shard
-  /// mailboxes, shard owners merge their own destinations through
-  /// striped dedup segments concurrently (see MergeShards), and a
-  /// small sequential epilogue handles the cross-shard effects —
-  /// reaching the identical fixpoint (the closure is confluent;
-  /// differentially tested). TrackProvenance records arena order, so
-  /// it forces the sequential path regardless.
+  /// thread. With more than one thread, frontiers of at least 128
+  /// pending edges drain in bulk-synchronous rounds: workers compute
+  /// 2-path joins into per-shard mailboxes, one owner per dedup shard
+  /// (one shard per thread, fixed at construction) merges its own
+  /// destinations concurrently, and a small sequential epilogue
+  /// handles the cross-shard effects. The fixpoint and every stats
+  /// counter are identical to the sequential run (the closure is
+  /// confluent; differentially tested). TrackProvenance records arena
+  /// order, so it forces the sequential path regardless.
   unsigned Threads = 1;
-
-  /// Minimum frontier size for a parallel round; smaller frontiers
-  /// drain through the sequential per-edge path (partitioning a
-  /// handful of edges costs more than it saves). Tests set 1 to force
-  /// rounds on tiny systems.
-  uint32_t ParallelFrontierThreshold = 128;
-
-  /// Shard count for the owner-partitioned parallel merge (DESIGN.md
-  /// §8): the edge-dedup table is striped into this many independent
-  /// segments routed by destination node id, and each round's merge
-  /// runs one owner per shard concurrently — the authoritative dedup
-  /// insertion stops being a sequential bottleneck. 0 (the default)
-  /// resolves to the thread count. Resolved at solver construction
-  /// like the dedup backend; changing it afterwards has no effect.
-  /// Purely a layout/scheduling knob: fixpoint, stats, and snapshot
-  /// format are shard-count independent (differentially tested), so
-  /// any value is sound, including with Threads == 1.
-  unsigned MergeShards = 0;
-
-  /// Relaxed-stats parallel mode: skip the sequential per-edge
-  /// processed-prefix limits sweep and let round workers scan the
-  /// full current adjacency degrees instead (stable during the
-  /// read-only compute phase). Every join the exact schedule performs
-  /// is contained in the relaxed scans, and extra attempts are
-  /// absorbed by the dedup filter, so the *fixpoint* stays
-  /// bit-identical to the sequential one — certified by
-  /// core/Certifier.h in the differential tests — and interrupts stay
-  /// resumable (the processed-prefix counters still advance exactly
-  /// once per edge). Only the work accounting is allowed to drift:
-  /// ComposeCalls and EdgesDropped may exceed the sequential totals.
-  /// Ignored on the sequential path (Threads == 1).
-  bool RelaxedParallelStats = false;
 
   /// Aggregate memory accounting across a batch of solvers (see
   /// core/BatchSolver.h): when non-null, every governance check
@@ -207,18 +169,17 @@ struct SolverOptions {
   /// Record the provenance of every derived edge (which rule, from
   /// which premises) so that conflictWitness() can explain a
   /// Status::Inconsistent result as a chain of surface constraints
-  /// and resolution steps. Costs memory per edge and time per fresh
-  /// insert; off by default.
+  /// and resolution steps, and maintain the retraction indexes — the
+  /// premise parent links of every derived edge plus the (src, dst,
+  /// ann) → arena map they are resolved through — so that retract()
+  /// can compute a derivation cone without replaying the closure
+  /// (DESIGN.md §11). Costs memory per edge and, per fresh insert, the
+  /// provenance record plus two hash-map operations; off by default.
   bool TrackProvenance = false;
 
-  /// Maintain the retraction indexes during solving — the premise
-  /// parent links of every derived edge plus the (src, dst, ann) →
-  /// arena map they are resolved through — so that retract() can
-  /// compute a derivation cone without replaying the closure (DESIGN.md
-  /// §11). Requires TrackProvenance (the parent links compress the
-  /// premise records it keeps); retract() rejects solvers missing
-  /// either flag. Costs two hash-map operations per fresh edge; off by
-  /// default.
+  /// No effect: TrackProvenance alone maintains the retraction
+  /// indexes. Kept only so that callers which still set it alongside
+  /// TrackProvenance compile unchanged.
   bool Incremental = false;
 
   /// Edge-dedup data layout (DESIGN.md "Solver data layout"). Bitset
@@ -269,7 +230,7 @@ struct SolverStats {
   uint64_t ProofBytes = 0;    ///< log bytes written
   uint64_t ProofFailures = 0; ///< proof logs abandoned
 
-  // Incremental re-solve counters (SolverOptions::Incremental).
+  // Incremental re-solve counters (retract()).
   uint64_t Retractions = 0;    ///< validated retract() calls
   uint64_t RetractedEdges = 0; ///< derivation-cone edges removed
   uint64_t RequeuedEdges = 0;  ///< surviving edges requeued for re-closure
@@ -277,7 +238,6 @@ struct SolverStats {
   // Wall-clock phase timings, accumulated across solve() calls.
   double IngestSeconds = 0;  ///< canonicalization + surface ingest
   double ClosureSeconds = 0; ///< worklist transitive/projection closure
-  double FnVarSeconds = 0;   ///< eager function-variable propagation
 
   /// Field-wise merge, for aggregating per-solver stats across a
   /// batch (core/BatchSolver.h). Every counter and timing is a plain
@@ -306,7 +266,6 @@ struct SolverStats {
     RequeuedEdges += O.RequeuedEdges;
     IngestSeconds += O.IngestSeconds;
     ClosureSeconds += O.ClosureSeconds;
-    FnVarSeconds += O.FnVarSeconds;
     return *this;
   }
 };
@@ -409,8 +368,8 @@ public:
   /// requeued, and surviving surface constraints are re-ingested so a
   /// shared dedup bit never orphans an independently-derivable fact.
   ///
-  /// Requires SolverOptions::Incremental and TrackProvenance from the
-  /// first solve(), and a quiescent solver (Solved or Inconsistent,
+  /// Requires SolverOptions::TrackProvenance from the first solve(),
+  /// and a quiescent solver (Solved or Inconsistent,
   /// empty worklist). Retracting an identity variable-variable
   /// constraint after cycle elimination merged variables is rejected
   /// (representatives cannot be un-merged); every other shape is fair
@@ -469,7 +428,7 @@ public:
   /// have been taken from the same constraint-system prefix (same
   /// constructors, same ingested constraints), a compatible domain,
   /// and matching semantic options (FilterUseless, CycleElimination,
-  /// EagerFunctionVars, TrackProvenance, resolved dedup backend) —
+  /// TrackProvenance, resolved dedup backend) —
   /// all verified, any mismatch is a Diag. On success the restored
   /// closure is certified (core/Certifier.h) before control returns.
   /// On *any* Diag the solver is left in its fresh state, so the
@@ -608,8 +567,8 @@ public:
   std::vector<std::vector<AnnId>> fnVarLeastSolution(
       std::span<const std::pair<FnVarId, AnnId>> Seeds) const;
 
-  /// The eager all-identity-seeded function-variable solution (cached;
-  /// maintained online when Options.EagerFunctionVars).
+  /// The all-identity-seeded function-variable solution, computed on
+  /// first request and cached until the next solve() or retract().
   const std::vector<std::vector<AnnId>> &fnVarSolution() const;
 
   /// PN-reachability: annotation classes of the constant \p Atom in
@@ -655,9 +614,10 @@ public:
   std::string toDot(std::string_view Title = "constraints") const;
 
 private:
-  /// Test-only backdoor (tests/certifier_mutation_test.cpp): mutates
-  /// solved states into corrupt ones to prove the certifier rejects
-  /// them. Never referenced by product code.
+  /// Test-only backdoor (tests/SolverTestAccess.h): mutates solved
+  /// states into corrupt ones to prove the certifier rejects them, and
+  /// lowers ParallelFrontierThreshold to force rounds on tiny systems.
+  /// Never referenced by product code.
   friend struct SolverTestAccess;
 
   struct Edge {
@@ -720,7 +680,6 @@ private:
   void decompose(const Edge &E);
   /// \returns true when the constraint was fresh (not a dedup drop).
   bool addFnVarConstraint(FnVarId From, AnnId Fn, FnVarId To);
-  void runEagerFnVars();
   void collapseCycles(size_t FirstNew);
   bool isVarNode(ExprId E) const {
     return CS.expr(E).Kind == ExprKind::Var;
@@ -752,7 +711,7 @@ private:
   /// The frontier-parallel closure (Options.Threads > 1): drains the
   /// worklist in bulk-synchronous rounds of up to MaxRoundEdges edges
   /// each, falling back to per-edge process() for frontiers below
-  /// Options.ParallelFrontierThreshold. Budgets are enforced between
+  /// ParallelFrontierThreshold. Budgets are enforced between
   /// rounds (and between fallback pops), so interrupts land at the
   /// same edge-boundary states the sequential path produces — a
   /// parallel solve can resume sequentially and vice versa.
@@ -776,26 +735,12 @@ private:
   static EdgeDedup::Backend resolveDedupBackend(const SolverOptions &Opts,
                                                 const AnnotationDomain &D);
 
-  /// The dedup shard count a solver constructed with \p Opts uses
-  /// (resolves MergeShards == 0 against the thread count, clamped to
-  /// a sane ceiling). Like the dedup backend, fixed at construction;
-  /// *not* recorded in snapshots — the on-disk dedup section is
-  /// shard-independent triples, so snapshots round-trip across
-  /// differently-sharded solvers.
-  static unsigned resolveMergeShards(const SolverOptions &Opts);
-
   /// Periodic checkpoint save (Options.CheckpointEveryPops): commits a
   /// snapshot to Options.CheckpointPath, records a failure in
   /// LastCheckpointDiag without interrupting, and consults the
   /// CrashAfterRename failpoint (a successful save followed by a
   /// simulated kill, for the crash-recovery tests).
   void periodicCheckpoint();
-
-  /// True when the retraction indexes are maintained (both flags are
-  /// required; retract() enforces the pairing with a Diag).
-  bool incrementalActive() const {
-    return Options.Incremental && Options.TrackProvenance;
-  }
 
   /// Arena index of the edge with this exact (src, dst, ann) triple,
   /// or ~0u when absent / the triple is an invalid premise slot.
@@ -866,7 +811,7 @@ private:
   std::vector<EdgeProv> ConflictProvs;
   EdgeProv CurProv;
 
-  // Retraction indexes (incrementalActive()): per arena edge, the
+  // Retraction indexes (Options.TrackProvenance): per arena edge, the
   // arena indices of its first derivation's premise edges (~0u =
   // none/not an edge premise), resolved at insertion through the
   // two-level triple map below. retract() inverts the parent links
@@ -903,9 +848,10 @@ private:
   std::vector<uint32_t> PredDone;
 
   // Edge dedup (annotation bitsets or per-destination flat sets; see
-  // SolverOptions::Dedup), striped by destination into MergeShards
-  // segments for the owner-partitioned merge (one segment on the
-  // sequential path), and the edge arena. The arena doubles as the
+  // SolverOptions::Dedup), striped by destination into one segment
+  // per thread for the owner-partitioned merge (one segment on the
+  // sequential path; not recorded in snapshots, whose dedup section
+  // is shard-independent triples), and the edge arena. The arena doubles as the
   // FIFO worklist: every edge is enqueued exactly once, so the ring
   // never wraps and the head cursor suffices.
   ShardedEdgeDedup EdgeSeen;
@@ -915,17 +861,23 @@ private:
 
   std::vector<FnVarConstraint> FnVarCons;
   EdgeDedup FnVarSeen; // dedup of FnVarCons
-  mutable std::vector<std::vector<AnnId>> EagerFnVarSol;
+  mutable std::vector<std::vector<AnnId>> FnVarSol;
   mutable bool FnVarSolFresh = false;
 
   // VarId -> ExprId node (or InvalidExpr), for query-side lookups
   // without re-interning through CS.var()'s hash-cons table.
   std::vector<ExprId> VarNode;
 
+  // Smallest pending frontier that runs as a parallel round; smaller
+  // ones drain through the sequential per-edge path (partitioning a
+  // handful of edges costs more than it saves). Tests lower it through
+  // SolverTestAccess to force rounds on tiny systems.
+  uint32_t ParallelFrontierThreshold;
+
   // Frontier-parallel round scratch (Options.Threads > 1), kept
   // across rounds so allocations amortize. The limit vectors hold the
   // per-frontier-edge processed-prefix snapshots taken by the
-  // sequential limits sweep (exact-stats mode only). One RoundBuf per
+  // sequential limits sweep. One RoundBuf per
   // compute partition holds the worker's private counters and its
   // per-shard mailboxes: Mail[S] collects the partition's derived
   // edges owned by shard S, written only by the producing worker

@@ -169,10 +169,7 @@ std::optional<Diag> Rascd::bindAndListen() {
 
 SolverOptions Rascd::solverOptionsFor(ResidentSystem &Sys) const {
   SolverOptions O = Opts.Session;
-  if (Opts.IncrementalRetract) {
-    O.Incremental = true;
-    O.TrackProvenance = true;
-  }
+  O.TrackProvenance |= Opts.IncrementalRetract;
   O.CancelFlag = &Sys.Cancel;
   O.GroupMemory = const_cast<std::atomic<uint64_t> *>(&GroupMem);
   O.MaxGroupMemoryBytes = Opts.MaxTotalMemoryBytes;

@@ -98,7 +98,7 @@ struct RascdOptions {
   /// overwritten per system by the daemon.
   SolverOptions Session;
 
-  /// Run resident solvers with Incremental + TrackProvenance so the
+  /// Run resident solvers with TrackProvenance so the
   /// RETRACT op can invalidate just the retracted constraint's
   /// derivation cone and re-close from the surviving frontier
   /// (DESIGN.md §11). Provenance forces the sequential closure path

@@ -11,9 +11,9 @@
 /// more than the work being deduplicated. Probing stays tombstone-free
 /// even though FlatSet64 supports erase: deletion is backward-shift
 /// (displaced keys slide back into the hole), so lookups never probe
-/// past a dead marker and the incremental solver's retraction path
-/// (SolverOptions::Incremental) pays no probe-length tax on the solves
-/// that follow an erase.
+/// past a dead marker and the solver's retraction path
+/// (BidirectionalSolver::retract) pays no probe-length tax on the
+/// solves that follow an erase.
 ///
 /// The empty slot is marked with the all-ones key, so ~0ULL cannot be
 /// stored; the solver packs (id, id) pairs of valid 32-bit ids, which

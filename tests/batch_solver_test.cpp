@@ -147,7 +147,6 @@ TEST(SolverStats, PlusEqualsSumsEveryField) {
   A.ParallelRounds = 8;
   A.IngestSeconds = 0.5;
   A.ClosureSeconds = 1.5;
-  A.FnVarSeconds = 0.25;
   B = A;
   B.EdgesInserted = 100;
   A += B;
@@ -165,7 +164,6 @@ TEST(SolverStats, PlusEqualsSumsEveryField) {
   EXPECT_EQ(A.ParallelRounds, 16u);
   EXPECT_DOUBLE_EQ(A.IngestSeconds, 1.0);
   EXPECT_DOUBLE_EQ(A.ClosureSeconds, 3.0);
-  EXPECT_DOUBLE_EQ(A.FnVarSeconds, 0.5);
 }
 
 //===----------------------------------------------------------------------===//

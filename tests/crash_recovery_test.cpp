@@ -27,6 +27,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "SolverTestAccess.h"
 #include "TempPath.h"
 #include "TestSystems.h"
 #include "core/BatchSolver.h"
@@ -181,8 +182,9 @@ unsigned checkCrashRecover(uint64_t Seed,
     Status St = S.solve();
     failpoints::disarmAll();
     Interrupted = BidirectionalSolver::isInterrupted(St);
-    if (Interrupted)
+    if (Interrupted) {
       EXPECT_EQ(St, kindStatus(K)) << Ctx;
+    }
     std::optional<Diag> D = S.saveCheckpoint(Path);
     EXPECT_FALSE(D) << Ctx << ": " << (D ? D->render() : "");
   }
@@ -238,8 +240,9 @@ TEST_P(CrashRecovery, RandomSystems) {
     // Vacuous-pass guard: a closure that pops more edges than the
     // largest trip point must have been interrupted at least once
     // (otherwise every cell above degenerated to save-at-fixpoint).
-    if (ExpectWork.EdgesInserted > 8)
+    if (ExpectWork.EdgesInserted > 8) {
       EXPECT_GT(Interrupted, 0u) << "seed " << Seed;
+    }
   }
 }
 
@@ -327,8 +330,8 @@ TEST_F(CrashRecovery, ParallelResumeOfSequentialSnapshot) {
     testgen::RandomSystem Sys = testgen::randomSystem(R);
     SolverOptions O;
     O.Threads = 4;
-    O.ParallelFrontierThreshold = 1; // force rounds on tiny systems
     BidirectionalSolver S(*Sys.CS, O);
+    SolverTestAccess::setParallelFrontierThreshold(S, 1); // force rounds
     std::optional<Diag> D = S.restore(Path);
     ASSERT_FALSE(D) << "seed " << Seed << ": " << D->render();
     Status St = S.solve();
@@ -341,15 +344,15 @@ TEST_F(CrashRecovery, ParallelResumeOfSequentialSnapshot) {
 }
 
 //===----------------------------------------------------------------===//
-// Snapshots round-trip across merge-shard counts and relaxed mode
+// Snapshots round-trip across dedup shard counts
 //===----------------------------------------------------------------===//
 
 /// The on-disk edge set is a flat list of (src, dst, ann) triples, so
-/// a snapshot taken under any (Threads, MergeShards) configuration
-/// must restore into any other — including sequential — and resume to
-/// the same fixpoint. Exercises both directions: a sequentially
-/// interrupted snapshot resumed under a sharded (and relaxed-stats)
-/// solver, and a sharded-parallel interrupt resumed sequentially.
+/// a snapshot taken under any thread count (= dedup shard count) must
+/// restore into any other — including sequential — and resume to the
+/// same fixpoint. Exercises both directions: a sequentially
+/// interrupted snapshot resumed under a sharded solver, and a
+/// sharded-parallel interrupt resumed sequentially.
 TEST_F(CrashRecovery, ShardedSnapshotRoundTrip) {
   for (uint64_t Seed = 1; Seed != 13; ++Seed) {
     Rng R0(Seed);
@@ -358,7 +361,7 @@ TEST_F(CrashRecovery, ShardedSnapshotRoundTrip) {
     SS.solve();
     Fixpoint Expect = queries(SS, *Straight.CS);
 
-    // Sequential interrupt -> sharded resume (exact and relaxed).
+    // Sequential interrupt -> sharded resume.
     std::string Path =
         tempPath("crash_shard_" + std::to_string(Seed) + ".rsnap");
     {
@@ -370,21 +373,18 @@ TEST_F(CrashRecovery, ShardedSnapshotRoundTrip) {
       S.solve();
       ASSERT_FALSE(S.saveCheckpoint(Path));
     }
-    for (bool Relaxed : {false, true}) {
+    {
       Rng R(Seed);
       testgen::RandomSystem Sys = testgen::randomSystem(R);
       SolverOptions O;
       O.Threads = 4;
-      O.MergeShards = 8; // more shards than workers
-      O.RelaxedParallelStats = Relaxed;
-      O.ParallelFrontierThreshold = 1;
       BidirectionalSolver S(*Sys.CS, O);
+      SolverTestAccess::setParallelFrontierThreshold(S, 1);
       std::optional<Diag> D = S.restore(Path);
       ASSERT_FALSE(D) << "seed " << Seed << ": " << D->render();
       Status St = S.solve();
       EXPECT_FALSE(BidirectionalSolver::isInterrupted(St));
-      EXPECT_EQ(queries(S, *Sys.CS), Expect)
-          << "seed " << Seed << (Relaxed ? ", relaxed" : ", exact");
+      EXPECT_EQ(queries(S, *Sys.CS), Expect) << "seed " << Seed;
     }
     std::remove(Path.c_str());
 
@@ -394,10 +394,9 @@ TEST_F(CrashRecovery, ShardedSnapshotRoundTrip) {
       testgen::RandomSystem Sys = testgen::randomSystem(R);
       SolverOptions O;
       O.Threads = 4;
-      O.MergeShards = 4;
-      O.ParallelFrontierThreshold = 1;
       O.MaxEdges = 2;
       BidirectionalSolver S(*Sys.CS, O);
+      SolverTestAccess::setParallelFrontierThreshold(S, 1);
       S.solve();
       ASSERT_FALSE(S.saveCheckpoint(Path));
     }

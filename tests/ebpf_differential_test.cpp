@@ -102,7 +102,6 @@ SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend,
   SolverOptions O;
   O.Dedup = Backend;
   O.Threads = Threads;
-  O.Incremental = true;
   O.TrackProvenance = true;
   O.CycleElimination = false;
   return O;

@@ -31,8 +31,9 @@ main (z : int) : int = dup(3).1;
   FlowAnalysis FA(*P, FlowMode::Primal);
   for (FExprId Lit : P->literals())
     for (const FFunc &F : P->functions())
-      if (FA.flows(Lit, F.Body))
+      if (FA.flows(Lit, F.Body)) {
         EXPECT_TRUE(FA.flowsPN(Lit, F.Body));
+      }
 }
 
 TEST(FlowPn, ArgumentVisibleInsideCalleeOnlyViaPn) {
@@ -101,8 +102,9 @@ TEST(FlowPn, RandomProgramsMatchedSubsetOfPn) {
       Targets.push_back(F.Body);
     for (FExprId Lit : P->literals())
       for (FExprId T : Targets)
-        if (FA.flows(Lit, T))
+        if (FA.flows(Lit, T)) {
           EXPECT_TRUE(FA.flowsPN(Lit, T)) << "seed " << Seed;
+        }
   }
 }
 

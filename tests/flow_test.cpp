@@ -280,7 +280,9 @@ struct ProgramBuilder {
   /// with index < NumCallable (ensuring a DAG call graph).
   FExprId build(TypeId Want, const FFunc &Ctx, size_t NumCallable,
                 unsigned Depth) {
-    const FType &Ty = P.type(Want);
+    // By value: the recursive builds below can grow the type table
+    // (pairType) and reallocate under a reference into it.
+    const FType Ty = P.type(Want);
     // Base cases.
     if (Depth == 0 || R.chance(1, 4)) {
       if (Want == Ctx.ParamTy && R.chance(1, 2)) {

@@ -116,7 +116,6 @@ SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend,
   SolverOptions O;
   O.Dedup = Backend;
   O.Threads = Threads;
-  O.Incremental = true;
   O.TrackProvenance = true;
   O.CycleElimination = false;
   return O;
@@ -228,12 +227,12 @@ TEST(IncrementalDrain, RetractEverythingLeavesNothing) {
 TEST(RetractDiags, RequiresIncrementalOptionsFromFirstSolve) {
   Rng R(2);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  BidirectionalSolver S(*Sys.CS); // no Incremental, no TrackProvenance
+  BidirectionalSolver S(*Sys.CS); // no TrackProvenance
   S.solve();
   ASSERT_FALSE(Sys.CS->retract(0));
   Expected<Status> RS = S.retract(0);
   ASSERT_FALSE(RS);
-  EXPECT_NE(RS.error().message().find("Incremental"), std::string::npos)
+  EXPECT_NE(RS.error().message().find("TrackProvenance"), std::string::npos)
       << RS.error().render();
 
   // The documented fallback: fresh re-solve of the edited system.
@@ -325,7 +324,6 @@ TEST(RetractDiags, CollapsedIdentityCycleGated) {
     return Sys;
   };
   SolverOptions O;
-  O.Incremental = true;
   O.TrackProvenance = true; // CycleElimination stays at its default
 
   testgen::RandomSystem Sys = build();

@@ -250,7 +250,6 @@ TEST_F(ProofLogTest, RetractSealsUnprovenThenRebuilds) {
   SolverOptions O;
   O.ProofLogPath = Path;
   O.TrackProvenance = true;
-  O.Incremental = true;
   BidirectionalSolver S(*Sys.CS, O);
   ASSERT_EQ(S.solve(), Status::Solved);
   ASSERT_EQ(check(Path).ExitCode, 0);

@@ -226,8 +226,9 @@ TEST_F(Snapshot, RoundTripWithProvenance) {
   ASSERT_FALSE(D) << D->render();
   EXPECT_EQ(fixpoint(S2, *Sys.CS), fixpoint(S, *Sys.CS));
   // Provenance survives: witnesses render identically.
-  if (S.status() == Status::Inconsistent)
+  if (S.status() == Status::Inconsistent) {
     EXPECT_EQ(S2.conflictWitness(0), S.conflictWitness(0));
+  }
   std::remove(Path.c_str());
 }
 

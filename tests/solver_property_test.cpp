@@ -69,7 +69,6 @@ TEST_P(SolverDifferential, OptionsDoNotChangeQueries) {
   SolverOptions Tuned;
   Tuned.FilterUseless = true;
   Tuned.CycleElimination = true;
-  Tuned.EagerFunctionVars = true;
   BidirectionalSolver B(*Sys.CS, Tuned);
   B.solve();
 

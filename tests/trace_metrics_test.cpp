@@ -30,6 +30,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "SolverTestAccess.h"
 #include "TestSystems.h"
 
 #include "core/Observe.h"
@@ -316,6 +317,7 @@ struct SolveImage {
 
 SolveImage solveImage(const ConstraintSystem &CS, SolverOptions O) {
   BidirectionalSolver S(CS, O);
+  SolverTestAccess::setParallelFrontierThreshold(S, 1); // force rounds
   SolveImage Img;
   Img.St = S.solve();
   S.forEachDerivedEdge([&](ExprId Src, ExprId Dst, AnnId Ann, bool P) {
@@ -349,7 +351,6 @@ TEST(TraceDifferential, TracingDoesNotPerturbFixpoints) {
         SolverOptions O;
         O.Dedup = Backend;
         O.Threads = Threads;
-        O.ParallelFrontierThreshold = 1;
 
         trace::setEnabled(false);
         observe::setMetricsEnabled(false);
