@@ -62,9 +62,15 @@ void buildDag(ConstraintSystem &CS, const MonoidDomain &Dom,
   CS.add(CS.cons(C), CS.var(Vars[0]));
   unsigned NumSyms = Dom.machine().numSymbols();
   for (unsigned I = 1; I != NumVars; ++I)
-    for (int E = 0; E != 2; ++E)
-      CS.add(CS.var(Vars[R.below(I)]), CS.var(Vars[I]),
-             Dom.symbolAnn(static_cast<SymbolId>(R.below(NumSyms))));
+    for (int E = 0; E != 2; ++E) {
+      // Two draws in one call's arguments would be unsequenced, so
+      // the system would depend on the compiler. The annotation is
+      // drawn first, the order g++ always used, which keeps every
+      // recorded system (and BENCH_solver.json entry) unchanged.
+      AnnId Ann = Dom.symbolAnn(static_cast<SymbolId>(R.below(NumSyms)));
+      VarId Src = Vars[R.below(I)];
+      CS.add(CS.var(Src), CS.var(Vars[I]), Ann);
+    }
 }
 
 void BM_SolveDagParallel(benchmark::State &State) {

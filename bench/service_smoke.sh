@@ -94,8 +94,11 @@ printf 'language regex "g*";\nconstant c;\nvar X0 X1;\nc <= X0;\nX0 <= X1;\nquer
   >"$WORK/dur.rasc"
 rpc load dur "$WORK/dur.rasc" >/dev/null || fail "load dur"
 rpc solve dur >/dev/null || fail "solve dur"
-# Live load when the axe falls.
-rpc bench --connections 4 --ops 200 >/dev/null 2>&1 &
+# Live load when the axe falls. The client is started directly, not
+# through rpc(): a backgrounded shell function runs in a subshell, so
+# $! would name the subshell and the kill below would miss the client.
+"$CLIENT" --port-file "$WORK/port" bench --connections 4 --ops 200 \
+  >/dev/null 2>&1 &
 BENCH_PID=$!
 sleep 0.5
 { kill -9 "$DAEMON_PID" && wait "$DAEMON_PID"; } 2>/dev/null || true
@@ -114,7 +117,7 @@ pass "kill -9 + restart recovered acknowledged state"
 kill -TERM "$DAEMON_PID"; wait "$DAEMON_PID" || fail "second drain failed"
 DAEMON_PID=""
 [ -f "$DATA/dur.rsnap" ] || fail "no recovered snapshot to certify"
-# --incremental: the daemon keeps retraction live by default, and
+# --incremental: the daemon always tracks provenance for RETRACT, and
 # snapshot options are semantic — the certifying solver must match.
 "$RASCTOOL" --incremental --checkpoint "$DATA/dur.rsnap" \
     --certify "$DATA/dur.rasc" \
@@ -189,7 +192,8 @@ echo "$OUT" | grep -q "proof=streaming" || fail "proof not streaming: $OUT"
 # The axe under live load, then make the torn tail deterministic: a
 # hard kill can leave a half-written frame, which we simulate so the
 # truncation path is exercised on every run, not only on lucky races.
-rpc bench --connections 4 --ops 200 >/dev/null 2>&1 &
+"$CLIENT" --port-file "$WORK/port" bench --connections 4 --ops 200 \
+  >/dev/null 2>&1 &
 BENCH_PID=$!
 sleep 0.3
 { kill -9 "$DAEMON_PID" && wait "$DAEMON_PID"; } 2>/dev/null || true

@@ -24,10 +24,6 @@
 ///   --session-max-steps N    per-session compose-step budget (0)
 ///   --session-max-memory B   per-session memory budget, bytes (0)
 ///   --max-memory B       aggregate memory cap across systems (0)
-///   --solve-threads N    frontier-parallel closure width per solve (1);
-///                        no effect while resident solvers track
-///                        provenance for RETRACT (the default), which
-///                        pins the sequential closure
 ///   --checkpoint-every-pops N  periodic checkpoint cadence (2^14)
 ///   --idle-timeout-ms N  per-session read/stall budget (30000)
 ///   --write-timeout-ms N per-response write budget (5000)
@@ -94,8 +90,6 @@ int main(int Argc, char **Argv) {
       Opts.Session.MaxMemoryBytes = numArg();
     else if (Arg == "--max-memory")
       Opts.MaxTotalMemoryBytes = numArg();
-    else if (Arg == "--solve-threads")
-      Opts.Session.Threads = static_cast<unsigned>(numArg());
     else if (Arg == "--checkpoint-every-pops")
       Opts.CheckpointEveryPops = numArg();
     else if (Arg == "--idle-timeout-ms")

@@ -95,7 +95,7 @@ BidirectionalSolver::saveCheckpoint(const std::string &Path) const {
 
   {
     ByteWriter &B = W.beginSection(TagMeta);
-    B.u8(static_cast<uint8_t>(resolveDedupBackend(Options, D)));
+    B.u8(0); // retired dedup-layout byte; 0 and 1 both restore
     B.u8(Options.FilterUseless);
     B.u8(Options.CycleElimination);
     B.u8(0); // retired eager fn-var flag; a 1 never restores
@@ -299,7 +299,7 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
   if (!MetaS)
     return missing("META");
   ByteReader &M = *MetaS;
-  uint8_t SnapBackend = M.u8();
+  uint8_t SnapLayout = M.u8(); // retired dedup-layout byte
   bool SnapFilterUseless = M.u8();
   bool SnapCycleElim = M.u8();
   bool SnapEagerFnVars = M.u8(); // retired option: always written 0
@@ -321,9 +321,10 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
     return rejected(Path, "invalid status byte");
   Status EffStatus = static_cast<Status>(SnapStatus);
 
-  if (SnapBackend !=
-      static_cast<uint8_t>(resolveDedupBackend(Options, D)))
-    return rejected(Path, "dedup backend mismatch");
+  // Older writers recorded their dedup layout here (0 or 1); the
+  // DEDU section holds layout-independent triples either way.
+  if (SnapLayout > 1)
+    return rejected(Path, "invalid dedup layout byte");
   if (SnapFilterUseless != Options.FilterUseless ||
       SnapCycleElim != Options.CycleElimination ||
       SnapEagerFnVars ||
@@ -579,8 +580,7 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
   // dst, ann) triples, so the replay target is striped with *this*
   // solver's shard count — a snapshot taken by a sequential solver
   // restores into a sharded-parallel one and vice versa.
-  ShardedEdgeDedup LocalDedup(resolveDedupBackend(Options, D), D.size(),
-                              EdgeSeen.numShards());
+  ShardedEdgeDedup LocalDedup(EdgeSeen.numShards());
   bool DedupFresh = true;
   if (std::optional<Diag> Dg = readTriples(
           *DdS, NumDedup,
@@ -608,7 +608,7 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
     return rejected(Path, "malformed FNVR section");
   std::vector<FnVarConstraint> LocalFnVars;
   LocalFnVars.reserve(NumFv);
-  EdgeDedup LocalFnSeen(resolveDedupBackend(Options, D), D.size());
+  EdgeDedup LocalFnSeen;
   for (uint64_t I = 0; I != NumFv; ++I) {
     uint32_t From = FvS->u32(), Fn = FvS->u32(), To = FvS->u32();
     if (From >= SnapNumFnVars || To >= SnapNumFnVars ||

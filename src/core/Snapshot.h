@@ -14,8 +14,9 @@
 ///
 /// A snapshot captures the *complete* resumable closure state:
 ///
-///   META  options fingerprint (semantic flags + resolved dedup
-///         backend), effective status, domain fingerprint
+///   META  options fingerprint (semantic flags; the retired
+///         dedup-layout byte is written 0, and 0 or 1 restores),
+///         effective status, domain fingerprint
 ///         (size/identity/accepting+useless bits), system shape
 ///         (vars, constructors with arity + name hash, expr and
 ///         fn-var counts), ingested-constraint count, processed

@@ -23,24 +23,6 @@
 
 using namespace rasc;
 
-/// Resolves SolverOptions::Dedup against the domain size observed at
-/// solver construction. A static member (not file-local) because the
-/// snapshot code records and re-checks the resolved backend.
-EdgeDedup::Backend
-BidirectionalSolver::resolveDedupBackend(const SolverOptions &Opts,
-                                         const AnnotationDomain &D) {
-  switch (Opts.Dedup) {
-  case SolverOptions::DedupBackend::Bitset:
-    return EdgeDedup::Backend::Bitset;
-  case SolverOptions::DedupBackend::FlatSet:
-    return EdgeDedup::Backend::Flat;
-  case SolverOptions::DedupBackend::Auto:
-    break;
-  }
-  return D.size() <= Opts.AnnBitsetThreshold ? EdgeDedup::Backend::Bitset
-                                             : EdgeDedup::Backend::Flat;
-}
-
 namespace {
 
 /// Smallest pending frontier worth a parallel round (see
@@ -113,9 +95,7 @@ std::vector<ConsId> AtomReachability::witnessStack(VarId V,
 BidirectionalSolver::BidirectionalSolver(const ConstraintSystem &CS,
                                          SolverOptions Opts)
     : CS(CS), Options(Opts),
-      EdgeSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size(),
-               resolveThreads(Opts)),
-      FnVarSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()),
+      EdgeSeen(resolveThreads(Opts)),
       ParallelFrontierThreshold(DefaultParallelFrontierThreshold) {}
 
 BidirectionalSolver::~BidirectionalSolver() = default;
@@ -1303,8 +1283,8 @@ void BidirectionalSolver::rebuildProvIndex() {
 ///    (alternative projection).
 ///
 /// 3. *Erase.* Cone edges and dead conflicts release their dedup
-///    bits (backward-shift/flag-clear erase in the backends; see
-///    support/FlatSet.h, support/AnnSet.h) and dead watchers of a
+///    bits (a bit clear in the slot, which stays; see
+///    support/AnnSet.h) and dead watchers of a
 ///    retracted projection constraint are dropped.
 ///
 /// 4. *Compact.* The arena keeps survivors in derivation order with
@@ -1610,9 +1590,7 @@ BidirectionalSolver::retract(uint32_t Idx) {
     }
     FnVarCons.resize(W);
     Stats.FnVarConstraints = W;
-    FnVarSeen =
-        EdgeDedup(resolveDedupBackend(Options, CS.domain()),
-                  CS.domain().size());
+    FnVarSeen = EdgeDedup{};
     for (const FnVarConstraint &C : FnVarCons)
       FnVarSeen.insert(C.From, C.To, C.Fn);
     FnVarSol.clear();
@@ -1660,7 +1638,6 @@ BidirectionalSolver::retract(uint32_t Idx) {
 }
 
 void BidirectionalSolver::resetToFresh() {
-  const AnnotationDomain &D = CS.domain();
   Stats = SolverStats{};
   Stat = Status::Solved;
   NumIngested = 0;
@@ -1680,13 +1657,12 @@ void BidirectionalSolver::resetToFresh() {
   NodeKind.clear();
   SuccDone.clear();
   PredDone.clear();
-  EdgeSeen = ShardedEdgeDedup(resolveDedupBackend(Options, D), D.size(),
-                              resolveThreads(Options));
+  EdgeSeen = ShardedEdgeDedup(resolveThreads(Options));
   EdgeArena.clear();
   PendingHead = 0;
   Conflicts.clear();
   FnVarCons.clear();
-  FnVarSeen = EdgeDedup(resolveDedupBackend(Options, D), D.size());
+  FnVarSeen = EdgeDedup{};
   FnVarSol.clear();
   FnVarSolFresh = false;
   VarNode.clear();

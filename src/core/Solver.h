@@ -181,21 +181,6 @@ struct SolverOptions {
   /// indexes. Kept only so that callers which still set it alongside
   /// TrackProvenance compile unchanged.
   bool Incremental = false;
-
-  /// Edge-dedup data layout (DESIGN.md "Solver data layout"). Bitset
-  /// keeps one annotation bitset per (src, dst) node pair — dedup is
-  /// a test-and-set, ideal while annotation ids are dense and small.
-  /// FlatSet keeps one open-addressed set of packed (src, ann) keys
-  /// per destination — bounded memory per present edge when the
-  /// domain is large or grows without bound.
-  enum class DedupBackend : uint8_t { Auto, Bitset, FlatSet };
-  DedupBackend Dedup = DedupBackend::Auto;
-
-  /// Auto picks Bitset when domain().size() at solver construction is
-  /// at most this, FlatSet otherwise. (A domain that interns past the
-  /// threshold mid-solve stays on its chosen backend; the bitset rows
-  /// widen on demand.)
-  uint32_t AnnBitsetThreshold = 256;
 };
 
 /// Counters for the complexity experiments. ComposeCalls counts
@@ -388,8 +373,6 @@ public:
 
   /// The solver's options. The mutable overload lets a caller raise
   /// budgets between solve() calls to resume an interrupted closure.
-  /// The dedup backend choice (Dedup, AnnBitsetThreshold) is resolved
-  /// at construction; changing it afterwards has no effect.
   SolverOptions &options() { return Options; }
   const SolverOptions &options() const { return Options; }
 
@@ -428,9 +411,9 @@ public:
   /// have been taken from the same constraint-system prefix (same
   /// constructors, same ingested constraints), a compatible domain,
   /// and matching semantic options (FilterUseless, CycleElimination,
-  /// TrackProvenance, resolved dedup backend) —
-  /// all verified, any mismatch is a Diag. On success the restored
-  /// closure is certified (core/Certifier.h) before control returns.
+  /// TrackProvenance) — all verified, any mismatch is a Diag. On
+  /// success the restored closure is certified (core/Certifier.h)
+  /// before control returns.
   /// On *any* Diag the solver is left in its fresh state, so the
   /// caller can fall back to solving from scratch.
   std::optional<Diag> restore(const std::string &Path);
@@ -729,12 +712,6 @@ private:
   /// \returns Solved when nothing tripped.
   Status governanceCheck(std::chrono::steady_clock::time_point Start);
 
-  /// The backend a solver constructed with \p Opts over \p D uses
-  /// (resolves DedupBackend::Auto against the domain size). Snapshot
-  /// save/restore records and re-checks this.
-  static EdgeDedup::Backend resolveDedupBackend(const SolverOptions &Opts,
-                                                const AnnotationDomain &D);
-
   /// Periodic checkpoint save (Options.CheckpointEveryPops): commits a
   /// snapshot to Options.CheckpointPath, records a failure in
   /// LastCheckpointDiag without interrupting, and consults the
@@ -847,8 +824,8 @@ private:
   std::vector<uint32_t> SuccDone;
   std::vector<uint32_t> PredDone;
 
-  // Edge dedup (annotation bitsets or per-destination flat sets; see
-  // SolverOptions::Dedup), striped by destination into one segment
+  // Edge dedup (one sparse annotation bitset per destination; see
+  // support/AnnSet.h), striped by destination into one segment
   // per thread for the owner-partitioned merge (one segment on the
   // sequential path; not recorded in snapshots, whose dedup section
   // is shard-independent triples), and the edge arena. The arena doubles as the

@@ -169,7 +169,7 @@ std::optional<Diag> Rascd::bindAndListen() {
 
 SolverOptions Rascd::solverOptionsFor(ResidentSystem &Sys) const {
   SolverOptions O = Opts.Session;
-  O.TrackProvenance |= Opts.IncrementalRetract;
+  O.TrackProvenance = true;
   O.CancelFlag = &Sys.Cancel;
   O.GroupMemory = const_cast<std::atomic<uint64_t> *>(&GroupMem);
   O.MaxGroupMemoryBytes = Opts.MaxTotalMemoryBytes;

@@ -95,17 +95,11 @@ struct RascdOptions {
   /// Per-session solve governance: DeadlineSeconds / MaxEdges /
   /// MaxComposeSteps / MaxMemoryBytes apply to each session's solve
   /// calls. CancelFlag / GroupMemory / Checkpoint* fields are
-  /// overwritten per system by the daemon.
+  /// overwritten per system by the daemon, and TrackProvenance is
+  /// always set, so the RETRACT op invalidates just the retracted
+  /// constraint's derivation cone and re-closes from the surviving
+  /// frontier (DESIGN.md §11).
   SolverOptions Session;
-
-  /// Run resident solvers with TrackProvenance so the
-  /// RETRACT op can invalidate just the retracted constraint's
-  /// derivation cone and re-close from the surviving frontier
-  /// (DESIGN.md §11). Provenance forces the sequential closure path
-  /// and costs memory per derived edge; switch off to trade RETRACT
-  /// latency (it then falls back to a fresh re-solve) for cheaper
-  /// steady-state solves.
-  bool IncrementalRetract = true;
 
   /// Aggregate cap on solver-owned memory summed over every resident
   /// system (enforced through one shared GroupMemory cell at

@@ -12,25 +12,21 @@
 ///   * AnnSet — a small insertion-ordered set of AnnIds (growable
 ///     bitset membership + member vector), replacing linear
 ///     std::find dedup passes on query paths.
-///   * AnnBitsetTable — per-key rows of annotation bits; the key is a
-///     packed (src, dst) node pair, so edge dedup is one hash probe
-///     plus a test-and-set. Rows share one arena with a common word
-///     stride that grows (rarely) when the domain interns new
-///     elements past the current capacity.
-///   * EdgeDedup — the solver's dedup front end: annotation bitsets
-///     while the domain is small (dense ids, near-perfect bit
-///     utilization), per-destination FlatSet64 of packed (src, ann)
-///     keys when it is large or unbounded (sparse sets; bitset rows
-///     would be mostly zero words).
+///   * EdgeDedup — the solver's edge dedup: per destination, a sparse
+///     annotation bitset, i.e. an open-addressed table of 64-bit
+///     annotation words keyed by (src, ann / 64). One probe plus a
+///     test-and-set per derived edge for any domain size; memory
+///     follows the occupied words, not the domain size.
+///   * ShardedEdgeDedup — EdgeDedup striped by destination for the
+///     frontier-parallel closure's owner-partitioned merge.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RASC_SUPPORT_ANNSET_H
 #define RASC_SUPPORT_ANNSET_H
 
-#include "support/FlatSet.h"
+#include "support/Hashing.h"
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -88,373 +84,153 @@ private:
   std::vector<uint32_t> Members;
 };
 
-/// Rows of annotation bits addressed by an arbitrary 64-bit key.
-///
-/// While every annotation id fits in one word (id < 64 — true for the
-/// paper's machines, whose monoids have a few dozen elements), rows
-/// are stored *inline* in the open-addressed slots: a duplicate-edge
-/// probe — the closure's single hottest operation, >90% of addEdge
-/// attempts on dense workloads — touches exactly one 16-byte slot.
-/// The first wider id migrates all rows to a spilled arena with a
-/// shared word stride that doubles on demand (a domain interning
-/// elements mid-solve, e.g. GenKillDomain); O(total bits) per
-/// doubling and geometrically rare.
-class AnnBitsetTable {
+/// Deduplication of annotated edges (A, B, Ann), stored as one sparse
+/// annotation bitset per destination B: an open-addressed table
+/// (FlatSet64's probing — linear, power-of-two capacity, grown at 7/8
+/// load) whose 16-byte slots pair a key (A << 32 | Ann / 64) with the
+/// 64-bit word of annotation bits Ann / 64 * 64 .. + 63 for the pair
+/// (A, B). Dedup is one probe plus a test-and-set. While every id is
+/// below 64 (the paper's machines: a few dozen monoid elements) each
+/// (A, B) pair takes exactly one slot; for large domains (|F_M^≡| up
+/// to |S|^|S|) memory follows the occupied 64-bit blocks, never the
+/// domain size.
+class EdgeDedup {
   static constexpr uint64_t Empty = ~uint64_t(0);
 
-public:
-  explicit AnnBitsetTable(size_t AnnCapacityHint = 64) {
-    if (AnnCapacityHint > 64) {
-      InlineMode = false;
-      Stride = (AnnCapacityHint + 63) / 64;
-    }
-  }
-
-  /// Tests and sets bit \p Ann of row \p Key. \returns true if the
-  /// bit was clear (the edge is new).
-  bool testAndSet(uint64_t Key, uint32_t Ann) {
-    assert(Key != Empty && "the all-ones key is reserved");
-    if (InlineMode) {
-      if (Ann < 64)
-        return testAndSetInline(Key, Ann);
-      spill();
-    }
-    return testAndSetSpilled(Key, Ann);
-  }
-
-  /// Clears bit \p Ann of row \p Key. The row's slot is kept even when
-  /// its last bit clears — a retraction is usually followed by
-  /// re-derivation into the same (src, dst) pairs, and an occupied
-  /// zero-bits row costs nothing on the probe path. \returns true if
-  /// the bit was set.
-  bool testAndClear(uint64_t Key, uint32_t Ann) {
-    if (InlineMode) {
-      if (Ann >= 64 || Slots.empty())
-        return false;
-      size_t Mask = Slots.size() - 1;
-      size_t I = static_cast<size_t>(mix64(Key)) & Mask;
-      uint64_t Bit = uint64_t(1) << Ann;
-      while (true) {
-        Slot &S = Slots[I];
-        if (S.Key == Key) {
-          if (!(S.Bits & Bit))
-            return false;
-          S.Bits &= ~Bit;
-          return true;
-        }
-        if (S.Key == Empty)
-          return false;
-        I = (I + 1) & Mask;
-      }
-    }
-    if (Ann >= Stride * 64)
-      return false;
-    const uint32_t *Row = Rows.lookup(Key);
-    if (!Row)
-      return false;
-    uint64_t Mask = uint64_t(1) << (Ann % 64);
-    uint64_t &Word = Bits[static_cast<size_t>(*Row) * Stride + Ann / 64];
-    if (!(Word & Mask))
-      return false;
-    Word &= ~Mask;
-    return true;
-  }
-
-  /// Tests bit \p Ann of row \p Key without modifying the table.
-  /// Read-only, so concurrent test() calls are race-free — the
-  /// frontier-parallel closure's workers use this to pre-filter
-  /// duplicate edges before the sequential merge.
-  bool test(uint64_t Key, uint32_t Ann) const {
-    if (InlineMode) {
-      if (Ann >= 64 || Slots.empty())
-        return false;
-      size_t Mask = Slots.size() - 1;
-      size_t I = static_cast<size_t>(mix64(Key)) & Mask;
-      while (true) {
-        const Slot &S = Slots[I];
-        if (S.Key == Key)
-          return (S.Bits >> Ann) & 1;
-        if (S.Key == Empty)
-          return false;
-        I = (I + 1) & Mask;
-      }
-    }
-    if (Ann >= Stride * 64)
-      return false;
-    const uint32_t *Row = Rows.lookup(Key);
-    if (!Row)
-      return false;
-    return (Bits[static_cast<size_t>(*Row) * Stride + Ann / 64] >>
-            (Ann % 64)) &
-           1;
-  }
-
-  size_t numRows() const {
-    return InlineMode ? InlineCount : Rows.size();
-  }
-
-  /// Issues a prefetch for the home slot of row \p Key. The closure's
-  /// probe stream has no locality (derived edges hash all over the
-  /// table), so batching prefetches a chunk ahead turns a serial chain
-  /// of cache misses into overlapped ones.
-  void prefetch(uint64_t Key) const {
-    if (InlineMode && !Slots.empty())
-      __builtin_prefetch(
-          &Slots[static_cast<size_t>(mix64(Key)) & (Slots.size() - 1)]);
-  }
-
-  /// Whether the table has outgrown on-chip caches enough that probe
-  /// misses dominate and a prefetch pass pays for its extra hashing
-  /// (~512KB of inline slots).
-  bool prefetchWorthwhile() const {
-    return InlineMode && Slots.size() >= (1u << 15);
-  }
-
-  /// Heap bytes held (for the solver's approximate memory budget).
-  size_t memoryBytes() const {
-    return Slots.capacity() * sizeof(Slot) + Rows.memoryBytes() +
-           Bits.capacity() * sizeof(uint64_t);
-  }
-
-  /// Invokes \p F(key, ann) for every set bit, rows in hash order —
-  /// NOT insertion order. Snapshot serialization relies on the table
-  /// being reconstructible from its unordered contents.
-  template <typename Fn> void forEach(Fn &&F) const {
-    if (InlineMode) {
-      for (const Slot &S : Slots) {
-        if (S.Key == Empty)
-          continue;
-        for (uint64_t B = S.Bits; B;) {
-          uint32_t Ann = static_cast<uint32_t>(__builtin_ctzll(B));
-          B &= B - 1;
-          F(S.Key, Ann);
-        }
-      }
-      return;
-    }
-    Rows.forEach([&](uint64_t Key, uint32_t Row) {
-      for (size_t W = 0; W != Stride; ++W) {
-        for (uint64_t B = Bits[static_cast<size_t>(Row) * Stride + W]; B;) {
-          uint32_t Ann =
-              static_cast<uint32_t>(W * 64 + __builtin_ctzll(B));
-          B &= B - 1;
-          F(Key, Ann);
-        }
-      }
-    });
-  }
-
-private:
-  bool testAndSetInline(uint64_t Key, uint32_t Ann) {
-    if (Slots.empty())
-      rehashInline(16);
-    size_t Mask = Slots.size() - 1;
-    size_t I = static_cast<size_t>(mix64(Key)) & Mask;
-    uint64_t Bit = uint64_t(1) << Ann;
-    while (true) {
-      Slot &S = Slots[I];
-      if (S.Key == Key) {
-        if (S.Bits & Bit)
-          return false;
-        S.Bits |= Bit;
-        return true;
-      }
-      if (S.Key == Empty) {
-        S.Key = Key;
-        S.Bits = Bit;
-        if (++InlineCount * 8 >= Slots.size() * 7)
-          rehashInline(Slots.size() * 2);
-        return true;
-      }
-      I = (I + 1) & Mask;
-    }
-  }
-
-  void rehashInline(size_t NewCap) {
-    std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewCap, Slot{});
-    size_t Mask = NewCap - 1;
-    for (const Slot &S : Old) {
-      if (S.Key == Empty)
-        continue;
-      size_t I = static_cast<size_t>(mix64(S.Key)) & Mask;
-      while (Slots[I].Key != Empty)
-        I = (I + 1) & Mask;
-      Slots[I] = S;
-    }
-  }
-
-  /// Migrates inline rows to the arena representation (one-time, on
-  /// the first annotation id >= 64).
-  void spill() {
-    InlineMode = false;
-    Rows.reserve(InlineCount);
-    for (const Slot &S : Slots) {
-      if (S.Key == Empty)
-        continue;
-      auto [Row, Inserted] =
-          Rows.findOrInsert(S.Key, static_cast<uint32_t>(Rows.size()));
-      (void)Inserted;
-      Bits.resize(Bits.size() + Stride, 0);
-      Bits[static_cast<size_t>(Row) * Stride] = S.Bits;
-    }
-    Slots.clear();
-    Slots.shrink_to_fit();
-    InlineCount = 0;
-  }
-
-  bool testAndSetSpilled(uint64_t Key, uint32_t Ann) {
-    if (Ann >= Stride * 64)
-      growStride(Ann);
-    auto [Row, Inserted] =
-        Rows.findOrInsert(Key, static_cast<uint32_t>(Rows.size()));
-    if (Inserted)
-      Bits.resize(Bits.size() + Stride, 0);
-    uint64_t Mask = uint64_t(1) << (Ann % 64);
-    uint64_t &Word = Bits[static_cast<size_t>(Row) * Stride + Ann / 64];
-    if (Word & Mask)
-      return false;
-    Word |= Mask;
-    return true;
-  }
-
-  void growStride(uint32_t Ann) {
-    size_t NewStride = Stride;
-    while (Ann >= NewStride * 64)
-      NewStride *= 2;
-    std::vector<uint64_t> NewBits(Rows.size() * NewStride, 0);
-    for (size_t Row = 0, E = Rows.size(); Row != E; ++Row)
-      for (size_t W = 0; W != Stride; ++W)
-        NewBits[Row * NewStride + W] = Bits[Row * Stride + W];
-    Bits = std::move(NewBits);
-    Stride = NewStride;
-  }
-
   struct Slot {
-    uint64_t Key = Empty;
-    uint64_t Bits = 0;
+    uint64_t Key = Empty; ///< A << 32 | Ann / 64 (never all-ones)
+    uint64_t Bits = 0;    ///< bit Ann % 64 set iff (A, B, Ann) is recorded
+  };
+  struct Table {
+    std::vector<Slot> Slots;
+    size_t Count = 0; ///< occupied slots (kept when their bits clear)
   };
 
-  // Inline mode: (key, bits) pairs in one open-addressed array.
-  bool InlineMode = true;
-  std::vector<Slot> Slots;
-  size_t InlineCount = 0;
-
-  // Spilled mode: key -> row index, rows dense in insertion order.
-  FlatMap64 Rows;
-  std::vector<uint64_t> Bits;
-  size_t Stride = 1;
-};
-
-/// Deduplication of annotated edges (A, B, Ann): the bitset backend
-/// keys rows by the packed (A, B) pair; the flat backend keeps one
-/// open-addressed set of packed (A, Ann) keys per B. The solver picks
-/// a backend per SolverOptions (bitsets when the annotation domain is
-/// small, flat sets otherwise).
-class EdgeDedup {
 public:
-  enum class Backend : uint8_t {
-    Bitset, ///< per-(A,B) annotation bitset rows (dense ann ids)
-    Flat,   ///< per-B FlatSet64 of packed (A, ann) keys (sparse)
-  };
-
-  explicit EdgeDedup(Backend B = Backend::Bitset,
-                     size_t AnnCapacityHint = 64)
-      : Which(B), Bitsets(AnnCapacityHint) {}
-
-  Backend backend() const { return Which; }
-
   /// Records the edge. \returns true if it was not present.
   bool insert(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Which == Backend::Bitset)
-      return Bitsets.testAndSet(
-          (static_cast<uint64_t>(A) << 32) | B, Ann);
     if (B >= PerDst.size())
       PerDst.resize(static_cast<size_t>(B) + 1);
-    return PerDst[B].insert((static_cast<uint64_t>(A) << 32) | Ann);
+    Table &T = PerDst[B];
+    if (T.Slots.empty())
+      rehash(T, 4);
+    uint64_t Key = keyOf(A, Ann), Bit = bitOf(Ann);
+    Slot &S = T.Slots[probe(T.Slots, Key)];
+    if (S.Key == Key) {
+      if (S.Bits & Bit)
+        return false;
+      S.Bits |= Bit;
+      return true;
+    }
+    S = {Key, Bit};
+    if (++T.Count * 8 >= T.Slots.size() * 7)
+      rehash(T, T.Slots.size() * 2);
+    return true;
   }
 
   /// Removes the edge (the incremental solver's cone invalidation).
-  /// \returns true if it was recorded. Capacity is retained by both
-  /// backends, so memoryBytes() is unchanged by erases.
+  /// The slot stays, holding a zero word when its last bit clears: a
+  /// retraction is usually followed by re-derivation into the same
+  /// pairs, probing never meets a tombstone, and memoryBytes() is
+  /// unchanged by erases. \returns true if the edge was recorded.
   bool erase(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Which == Backend::Bitset)
-      return Bitsets.testAndClear(
-          (static_cast<uint64_t>(A) << 32) | B, Ann);
-    if (B >= PerDst.size())
+    Slot *S = const_cast<Slot *>(find(A, B, Ann));
+    if (!S || !(S->Bits & bitOf(Ann)))
       return false;
-    return PerDst[B].erase((static_cast<uint64_t>(A) << 32) | Ann);
+    S->Bits &= ~bitOf(Ann);
+    return true;
   }
 
   /// \returns whether the edge is already recorded, without modifying
   /// the structure. Read-only, so concurrent contains() calls are
   /// race-free (used by the frontier-parallel workers' pre-filter).
   bool contains(uint32_t A, uint32_t B, uint32_t Ann) const {
-    if (Which == Backend::Bitset)
-      return Bitsets.test((static_cast<uint64_t>(A) << 32) | B, Ann);
-    if (B >= PerDst.size())
-      return false;
-    return PerDst[B].contains((static_cast<uint64_t>(A) << 32) | Ann);
+    const Slot *S = find(A, B, Ann);
+    return S && (S->Bits & bitOf(Ann));
   }
 
-  /// Prefetches the slot a subsequent insert(A, B, Ann) will probe.
+  /// Prefetches the home slot a subsequent insert(A, B, Ann) probes.
+  /// The closure's probe stream has no locality, so prefetching a
+  /// chunk ahead overlaps cache misses that would otherwise serialize.
   void prefetch(uint32_t A, uint32_t B, uint32_t Ann) const {
-    if (Which == Backend::Bitset)
-      Bitsets.prefetch((static_cast<uint64_t>(A) << 32) | B);
-    else if (B < PerDst.size())
-      PerDst[B].prefetch((static_cast<uint64_t>(A) << 32) | Ann);
+    if (B < PerDst.size() && !PerDst[B].Slots.empty()) {
+      const std::vector<Slot> &Slots = PerDst[B].Slots;
+      __builtin_prefetch(
+          &Slots[static_cast<size_t>(mix64(keyOf(A, Ann))) &
+                 (Slots.size() - 1)]);
+    }
   }
 
   /// Whether a prefetch pass over a batch of probes is likely to pay
-  /// off (the working set no longer sits in on-chip caches).
-  bool prefetchWorthwhile() const {
-    return Which == Backend::Bitset ? Bitsets.prefetchWorthwhile()
-                                    : PerDst.size() >= 4096;
-  }
+  /// off (enough destinations that the tables no longer sit in
+  /// on-chip caches).
+  bool prefetchWorthwhile() const { return PerDst.size() >= 4096; }
 
   /// Invokes \p F(A, B, Ann) for every recorded edge, in an
   /// unspecified order. The snapshot writer serializes the dedup
   /// structure through this; replay on restore re-inserts every triple
-  /// (insertion order does not affect either backend's contents, only
-  /// its slot layout).
+  /// (insertion order affects only the slot layout, not the contents).
   template <typename Fn> void forEachEdge(Fn &&F) const {
-    if (Which == Backend::Bitset) {
-      Bitsets.forEach([&](uint64_t Key, uint32_t Ann) {
-        F(static_cast<uint32_t>(Key >> 32), static_cast<uint32_t>(Key),
-          Ann);
-      });
-      return;
-    }
     for (size_t B = 0, E = PerDst.size(); B != E; ++B)
-      PerDst[B].forEach([&](uint64_t Key) {
-        F(static_cast<uint32_t>(Key >> 32), static_cast<uint32_t>(B),
-          static_cast<uint32_t>(Key));
-      });
+      for (const Slot &S : PerDst[B].Slots)
+        for (uint64_t Bits = S.Bits; Bits; Bits &= Bits - 1)
+          F(static_cast<uint32_t>(S.Key >> 32), static_cast<uint32_t>(B),
+            static_cast<uint32_t>(S.Key) * 64 +
+                static_cast<uint32_t>(__builtin_ctzll(Bits)));
   }
 
   /// Total recorded edges (used to size the snapshot's dedup section).
   size_t edgeCount() const {
     size_t N = 0;
-    forEachEdge([&](uint32_t, uint32_t, uint32_t) { ++N; });
+    for (const Table &T : PerDst)
+      for (const Slot &S : T.Slots)
+        N += static_cast<size_t>(__builtin_popcountll(S.Bits));
     return N;
   }
 
-  /// Heap bytes held. O(1) for the bitset backend; O(#destinations)
-  /// for the flat backend, so callers amortize (the solver checks its
-  /// memory budget every GovernanceCheckInterval worklist pops).
+  /// Heap bytes held, in O(1): the solver samples this at every
+  /// governance check.
   size_t memoryBytes() const {
-    if (Which == Backend::Bitset)
-      return Bitsets.memoryBytes();
-    size_t N = PerDst.capacity() * sizeof(FlatSet64);
-    for (const FlatSet64 &S : PerDst)
-      N += S.memoryBytes();
-    return N;
+    return PerDst.capacity() * sizeof(Table) + SlotsHeld * sizeof(Slot);
   }
 
 private:
-  Backend Which;
-  AnnBitsetTable Bitsets;
-  std::vector<FlatSet64> PerDst;
+  static uint64_t keyOf(uint32_t A, uint32_t Ann) {
+    return (static_cast<uint64_t>(A) << 32) | (Ann / 64);
+  }
+  static uint64_t bitOf(uint32_t Ann) { return uint64_t(1) << (Ann % 64); }
+
+  /// Index of \p Key's slot in \p Slots, or of the empty slot that
+  /// ends its probe sequence.
+  static size_t probe(const std::vector<Slot> &Slots, uint64_t Key) {
+    size_t Mask = Slots.size() - 1;
+    size_t I = static_cast<size_t>(mix64(Key)) & Mask;
+    while (Slots[I].Key != Key && Slots[I].Key != Empty)
+      I = (I + 1) & Mask;
+    return I;
+  }
+
+  /// The slot of (A, Ann / 64) in B's table, or null.
+  const Slot *find(uint32_t A, uint32_t B, uint32_t Ann) const {
+    if (B >= PerDst.size() || PerDst[B].Slots.empty())
+      return nullptr;
+    const std::vector<Slot> &Slots = PerDst[B].Slots;
+    uint64_t Key = keyOf(A, Ann);
+    const Slot &S = Slots[probe(Slots, Key)];
+    return S.Key == Key ? &S : nullptr;
+  }
+
+  void rehash(Table &T, size_t NewCap) {
+    std::vector<Slot> Old = std::move(T.Slots);
+    T.Slots.assign(NewCap, Slot{});
+    for (const Slot &S : Old)
+      if (S.Key != Empty)
+        T.Slots[probe(T.Slots, S.Key)] = S;
+    SlotsHeld += NewCap - Old.size();
+  }
+
+  std::vector<Table> PerDst;
+  size_t SlotsHeld = 0; ///< sum of every table's slot count
 };
 
 /// Edge dedup striped into P independent EdgeDedup segments routed by
@@ -470,17 +246,9 @@ private:
 /// routing arithmetic on the probe path.
 class ShardedEdgeDedup {
 public:
-  using Backend = EdgeDedup::Backend;
+  explicit ShardedEdgeDedup(unsigned NumShards = 1)
+      : Segs(NumShards ? NumShards : 1) {}
 
-  explicit ShardedEdgeDedup(Backend B = Backend::Bitset,
-                            size_t AnnCapacityHint = 64,
-                            unsigned NumShards = 1) {
-    Segs.reserve(NumShards ? NumShards : 1);
-    for (unsigned I = 0, E = NumShards ? NumShards : 1; I != E; ++I)
-      Segs.emplace_back(B, AnnCapacityHint);
-  }
-
-  Backend backend() const { return Segs.front().D.backend(); }
   unsigned numShards() const {
     return static_cast<unsigned>(Segs.size());
   }
@@ -573,7 +341,6 @@ private:
   /// (slot pointer, counts) off every other shard's line during the
   /// concurrent merge phase.
   struct alignas(64) Seg {
-    Seg(Backend B, size_t AnnCapacityHint) : D(B, AnnCapacityHint) {}
     EdgeDedup D;
   };
   std::vector<Seg> Segs;

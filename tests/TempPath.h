@@ -8,7 +8,7 @@
 /// Names for the files and directories tests write. ctest runs every
 /// gtest case in its own process, and under `ctest -j` many of them at
 /// once, so a fixed name under ::testing::TempDir() lets two cases
-/// (say, the two dedup backends of one round-trip test) overwrite each
+/// (say, two round-trip tests that share a file name) overwrite each
 /// other's file mid-test. Every name carries the process id.
 ///
 //===----------------------------------------------------------------------===//

@@ -142,29 +142,16 @@ inline RandomSystem randomSystem(Rng &R) {
   return Sys;
 }
 
-/// Renders one differential-test iteration's identity — seed, dedup
-/// backend, thread count, plus any extra context — for gtest failure
-/// output. The randomized tests loop hundreds of (seed, backend,
-/// threads) combinations inside one TEST body; a bare assertion
-/// failure there is unreproducible without this string. Use via
+/// Renders one differential-test iteration's identity — seed, thread
+/// count, plus any extra context — for gtest failure output. The
+/// randomized tests loop hundreds of (seed, threads) combinations
+/// inside one TEST body; a bare assertion failure there is
+/// unreproducible without this string. Use via
 /// SCOPED_TRACE(seedContext(...)).
-inline std::string seedContext(uint64_t Seed,
-                               SolverOptions::DedupBackend Backend,
-                               unsigned Threads = 1,
+inline std::string seedContext(uint64_t Seed, unsigned Threads = 1,
                                std::string_view Extra = {}) {
-  std::string S = "seed " + std::to_string(Seed) + ", dedup ";
-  switch (Backend) {
-  case SolverOptions::DedupBackend::Auto:
-    S += "auto";
-    break;
-  case SolverOptions::DedupBackend::Bitset:
-    S += "bitset";
-    break;
-  case SolverOptions::DedupBackend::FlatSet:
-    S += "flatset";
-    break;
-  }
-  S += ", threads " + std::to_string(Threads);
+  std::string S = "seed " + std::to_string(Seed) + ", threads " +
+                  std::to_string(Threads);
   if (!Extra.empty()) {
     S += ", ";
     S += Extra;

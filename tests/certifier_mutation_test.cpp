@@ -71,23 +71,16 @@ using Status = BidirectionalSolver::Status;
 
 constexpr uint64_t NumSeeds = 59;
 
-SolverOptions optsFor(uint64_t Seed) {
-  SolverOptions O;
-  O.Dedup = (Seed % 2) ? SolverOptions::DedupBackend::Bitset
-                       : SolverOptions::DedupBackend::FlatSet;
-  return O;
-}
-
 /// Solves a fresh copy of seed \p Seed's system to completion and
 /// hands it to \p Mutate; asserts the certifier accepted the honest
 /// state and rejects the mutant. \returns false when \p Mutate
 /// declined (mutation not applicable to this system).
 template <typename Fn>
 bool runMutation(uint64_t Seed, const char *Kind, Fn &&Mutate) {
-  SCOPED_TRACE(testgen::seedContext(Seed, optsFor(Seed).Dedup, 1, Kind));
+  SCOPED_TRACE(testgen::seedContext(Seed, 1, Kind));
   Rng R(Seed * 7919 + 17);
   RandomSystem Sys = testgen::randomSystem(R);
-  BidirectionalSolver S(*Sys.CS, optsFor(Seed));
+  BidirectionalSolver S(*Sys.CS, SolverOptions{});
   S.solve();
   EXPECT_TRUE(certifyFixpoint(S).Ok)
       << "honest solved state must certify";
@@ -165,9 +158,8 @@ TEST(CertifierMutation, RejectsEveryMutant) {
   // its own solver setup (edge budget to force the interrupt,
   // provenance to prove the tail held an obligated edge).
   for (uint64_t Seed = 1; Seed <= NumSeeds; ++Seed) {
-    SolverOptions O = optsFor(Seed);
-    SCOPED_TRACE(testgen::seedContext(Seed, O.Dedup, 1,
-                                      "truncate-worklist"));
+    SolverOptions O;
+    SCOPED_TRACE(testgen::seedContext(Seed, 1, "truncate-worklist"));
     Rng R(Seed * 7919 + 17);
     RandomSystem Sys = testgen::randomSystem(R);
 

@@ -17,10 +17,10 @@
 /// neither redoes nor skips derivations).
 ///
 /// Runs the full matrix of the resume-differential suite plus the
-/// memory-failpoint interrupt, over seeded random systems and both
-/// edge-dedup backends. Separate legs cover the simulated
-/// kill-after-periodic-checkpoint (the CrashAfterRename failpoint +
-/// BidirectionalSolver::Create), parallel resume of a sequentially
+/// memory-failpoint interrupt, over seeded random systems. Separate
+/// legs cover the simulated kill-after-periodic-checkpoint (the
+/// CrashAfterRename failpoint + BidirectionalSolver::Create),
+/// parallel resume of a sequentially
 /// interrupted snapshot, lazily-interning domains (honest rejection,
 /// never a wrong answer), and BatchSolver restarts with a corrupted
 /// per-task snapshot.
@@ -140,13 +140,10 @@ WorkCounters work(const SolverStats &S) {
 
 /// One kill-and-recover cell of the matrix. \returns 1 if the
 /// interrupt actually tripped (for the vacuous-pass guard).
-unsigned checkCrashRecover(uint64_t Seed,
-                           SolverOptions::DedupBackend Backend, Kind K,
-                           const Fixpoint &Expect,
+unsigned checkCrashRecover(uint64_t Seed, Kind K, const Fixpoint &Expect,
                            const WorkCounters &ExpectWork,
                            const std::string &Ctx) {
   SolverOptions Base;
-  Base.Dedup = Backend;
   const uint64_t N = 1 + Seed % 7;
   std::string Path = tempPath("crash_" + std::to_string(Seed) + "_" +
                               kindName(K) + ".rsnap");
@@ -216,33 +213,27 @@ protected:
 
 TEST_P(CrashRecovery, RandomSystems) {
   const uint64_t Seed = GetParam();
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    // The straight run this seed's recovery legs must reproduce.
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    Rng R(Seed);
-    testgen::RandomSystem Sys = testgen::randomSystem(R);
-    BidirectionalSolver S(*Sys.CS, Base);
-    Status St = S.solve();
-    ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
-    Fixpoint Expect = queries(S, *Sys.CS);
-    WorkCounters ExpectWork = work(S.stats());
+  // The straight run this seed's recovery legs must reproduce.
+  SolverOptions Base;
+  Rng R(Seed);
+  testgen::RandomSystem Sys = testgen::randomSystem(R);
+  BidirectionalSolver S(*Sys.CS, Base);
+  Status St = S.solve();
+  ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
+  Fixpoint Expect = queries(S, *Sys.CS);
+  WorkCounters ExpectWork = work(S.stats());
 
-    unsigned Interrupted = 0;
-    for (Kind K : AllKinds) {
-      std::string Ctx = testgen::seedContext(
-          Seed, Backend, 1, std::string("kind ") + kindName(K));
-      Interrupted +=
-          checkCrashRecover(Seed, Backend, K, Expect, ExpectWork, Ctx);
-    }
-    // Vacuous-pass guard: a closure that pops more edges than the
-    // largest trip point must have been interrupted at least once
-    // (otherwise every cell above degenerated to save-at-fixpoint).
-    if (ExpectWork.EdgesInserted > 8) {
-      EXPECT_GT(Interrupted, 0u) << "seed " << Seed;
-    }
+  unsigned Interrupted = 0;
+  for (Kind K : AllKinds) {
+    std::string Ctx =
+        testgen::seedContext(Seed, 1, std::string("kind ") + kindName(K));
+    Interrupted += checkCrashRecover(Seed, K, Expect, ExpectWork, Ctx);
+  }
+  // Vacuous-pass guard: a closure that pops more edges than the
+  // largest trip point must have been interrupted at least once
+  // (otherwise every cell above degenerated to save-at-fixpoint).
+  if (ExpectWork.EdgesInserted > 8) {
+    EXPECT_GT(Interrupted, 0u) << "seed " << Seed;
   }
 }
 

@@ -9,7 +9,7 @@
 /// §11): BidirectionalSolver::retract must land on the *semantic*
 /// fixpoint a fresh solve of the edited system reaches — same status,
 /// same answer to every query, same enumerated terms — across seeded
-/// random systems, both edge-dedup backends, and Threads ∈ {1, 4}
+/// random systems and Threads ∈ {1, 4}
 /// (provenance pins the closure to the sequential path; the parallel
 /// configuration still exercises the sharded dedup erase). Work
 /// counters are deliberately *not* compared: a delta re-solve reuses
@@ -18,10 +18,10 @@
 /// Also here: the retract() precondition diagnostics (and that a
 /// rejected call leaves the solver unchanged, so resetToFresh() is a
 /// safe fallback), snapshot round-trips of provenance and retraction
-/// state under both backends with bit-identical conflict witnesses,
+/// state with bit-identical conflict witnesses,
 /// the v2 retraction-flag cross-check at restore, the parser's
-/// "retract N;" statement, and the backward-shift erase of the
-/// FlatSet64 dedup layer against a reference set.
+/// "retract N;" statement, and the backward-shift erase of FlatSet64
+/// against a reference set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,10 +111,8 @@ Fixpoint semantics(const BidirectionalSolver &S, const ConstraintSystem &CS,
 /// elimination is off so *any* constraint is a legal retraction
 /// target (retract() rejects un-merging a collapsed identity cycle);
 /// the gate itself is covered separately below.
-SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend,
-                                 unsigned Threads) {
+SolverOptions incrementalOptions(unsigned Threads) {
   SolverOptions O;
-  O.Dedup = Backend;
   O.Threads = Threads;
   O.TrackProvenance = true;
   O.CycleElimination = false;
@@ -142,47 +140,41 @@ class IncrementalDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalDifferential, RetractMatchesFreshSolve) {
   const uint64_t Seed = GetParam();
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    for (unsigned Threads : {1u, 4u}) {
-      SCOPED_TRACE(
-          testgen::seedContext(Seed, Backend, Threads, "incremental"));
-      Rng R(Seed);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      const uint32_t N =
-          static_cast<uint32_t>(Sys.CS->constraints().size());
-      SolverOptions O = incrementalOptions(Backend, Threads);
-      BidirectionalSolver S(*Sys.CS, O);
-      Status St = S.solve();
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(testgen::seedContext(Seed, Threads, "incremental"));
+    Rng R(Seed);
+    testgen::RandomSystem Sys = testgen::randomSystem(R);
+    const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
+    SolverOptions O = incrementalOptions(Threads);
+    BidirectionalSolver S(*Sys.CS, O);
+    Status St = S.solve();
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
 
-      // Two successive single-constraint edits — the second retract
-      // runs on an already-compacted arena, covering the post-retract
-      // index rebuild.
-      uint32_t First = static_cast<uint32_t>(Seed % N);
-      uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
-      std::vector<uint32_t> Flagged;
-      for (uint32_t Idx : {First, Second}) {
-        if (std::find(Flagged.begin(), Flagged.end(), Idx) !=
-            Flagged.end())
-          continue;
-        SCOPED_TRACE("retract " + std::to_string(Idx));
-        ASSERT_FALSE(Sys.CS->retract(Idx));
-        Flagged.push_back(Idx);
-        Expected<Status> RS = S.retract(Idx);
-        ASSERT_TRUE(RS) << RS.error().render();
-        ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+    // Two successive single-constraint edits — the second retract
+    // runs on an already-compacted arena, covering the post-retract
+    // index rebuild.
+    uint32_t First = static_cast<uint32_t>(Seed % N);
+    uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
+    std::vector<uint32_t> Flagged;
+    for (uint32_t Idx : {First, Second}) {
+      if (std::find(Flagged.begin(), Flagged.end(), Idx) !=
+          Flagged.end())
+        continue;
+      SCOPED_TRACE("retract " + std::to_string(Idx));
+      ASSERT_FALSE(Sys.CS->retract(Idx));
+      Flagged.push_back(Idx);
+      Expected<Status> RS = S.retract(Idx);
+      ASSERT_TRUE(RS) << RS.error().render();
+      ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
 
-        EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
-                  freshFixpoint(Seed, Flagged, O));
-        if (S.status() == Status::Solved) {
-          CertificationReport Rep = certifyFixpoint(S);
-          EXPECT_TRUE(Rep.Ok) << Rep.summary();
-        }
+      EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
+                freshFixpoint(Seed, Flagged, O));
+      if (S.status() == Status::Solved) {
+        CertificationReport Rep = certifyFixpoint(S);
+        EXPECT_TRUE(Rep.Ok) << Rep.summary();
       }
-      EXPECT_EQ(S.stats().Retractions, Flagged.size());
     }
+    EXPECT_EQ(S.stats().Retractions, Flagged.size());
   }
 }
 
@@ -197,8 +189,7 @@ TEST(IncrementalDrain, RetractEverythingLeavesNothing) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
-    SolverOptions O =
-        incrementalOptions(SolverOptions::DedupBackend::FlatSet, 1);
+    SolverOptions O = incrementalOptions(1);
     BidirectionalSolver S(*Sys.CS, O);
     ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
     const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
@@ -246,8 +237,7 @@ TEST(RetractDiags, RequiresIncrementalOptionsFromFirstSolve) {
 TEST(RetractDiags, RequiresSystemFlagFirst) {
   Rng R(4);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(1);
   BidirectionalSolver S(*Sys.CS, O);
   S.solve();
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
@@ -260,8 +250,7 @@ TEST(RetractDiags, RequiresSystemFlagFirst) {
 TEST(RetractDiags, OutOfRangeIndex) {
   Rng R(5);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(1);
   BidirectionalSolver S(*Sys.CS, O);
   S.solve();
   Expected<Status> RS = S.retract(1u << 20);
@@ -282,8 +271,7 @@ TEST(RetractDiags, DoubleRetractRejectedBySystem) {
 TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
   Rng R(7);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::FlatSet, 1);
+  SolverOptions O = incrementalOptions(1);
   O.MaxEdges = 2;
   BidirectionalSolver S(*Sys.CS, O);
   Status St = S.solve();
@@ -300,8 +288,7 @@ TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   Expected<Status> RS2 = S.retract(0);
   ASSERT_TRUE(RS2) << RS2.error().render();
-  SolverOptions FreshO =
-      incrementalOptions(SolverOptions::DedupBackend::FlatSet, 1);
+  SolverOptions FreshO = incrementalOptions(1);
   std::vector<uint32_t> Flagged = {0};
   EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
             freshFixpoint(7, Flagged, FreshO));
@@ -369,8 +356,7 @@ TEST(RetractDiags, CollapsedIdentityCycleGated) {
 TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
   Rng R(9);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(1);
   BidirectionalSolver S(*Sys.CS, O);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
@@ -396,109 +382,99 @@ TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
 //===----------------------------------------------------------------===//
 
 TEST(IncrementalSnapshot, ProvenanceRoundTripThenRetractParity) {
-  // Save/restore with the retraction indexes live, under both
-  // backends: the restored solver must answer identically, render
-  // bit-identical conflict witnesses, and — the real check — retract
-  // to the same fixpoint as the solver that never went through disk
-  // (restore rebuilds the provenance indexes rather than loading
-  // them).
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    unsigned Witnessed = 0;
-    for (uint64_t Seed = 1; Seed != 16; ++Seed) {
-      SCOPED_TRACE(testgen::seedContext(Seed, Backend, 1, "snapshot"));
-      Rng R(Seed);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      SolverOptions O = incrementalOptions(Backend, 1);
-      BidirectionalSolver S(*Sys.CS, O);
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
+  // Save/restore with the retraction indexes live: the restored
+  // solver must answer identically, render bit-identical conflict
+  // witnesses, and — the real check — retract to the same fixpoint
+  // as the solver that never went through disk (restore rebuilds the
+  // provenance indexes rather than loading them).
+  unsigned Witnessed = 0;
+  for (uint64_t Seed = 1; Seed != 16; ++Seed) {
+    SCOPED_TRACE(testgen::seedContext(Seed, 1, "snapshot"));
+    Rng R(Seed);
+    testgen::RandomSystem Sys = testgen::randomSystem(R);
+    SolverOptions O = incrementalOptions(1);
+    BidirectionalSolver S(*Sys.CS, O);
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
 
-      std::string Path =
-          tempPath("incremental_prov_" + std::to_string(Seed) + ".rsnap");
-      ASSERT_FALSE(S.saveCheckpoint(Path));
-      BidirectionalSolver S2(*Sys.CS, O);
-      std::optional<Diag> D = S2.restore(Path);
-      ASSERT_FALSE(D) << D->render();
-      std::remove(Path.c_str());
+    std::string Path =
+        tempPath("incremental_prov_" + std::to_string(Seed) + ".rsnap");
+    ASSERT_FALSE(S.saveCheckpoint(Path));
+    BidirectionalSolver S2(*Sys.CS, O);
+    std::optional<Diag> D = S2.restore(Path);
+    ASSERT_FALSE(D) << D->render();
+    std::remove(Path.c_str());
 
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-      if (S.status() == Status::Inconsistent) {
-        ++Witnessed;
-        for (size_t I = 0; I != S.conflicts().size(); ++I)
-          EXPECT_EQ(S2.conflictWitness(I), S.conflictWitness(I))
-              << "conflict " << I;
-      }
-
-      uint32_t Idx = static_cast<uint32_t>(
-          Seed % Sys.CS->constraints().size());
-      ASSERT_FALSE(Sys.CS->retract(Idx));
-      Expected<Status> A = S.retract(Idx);
-      Expected<Status> B = S2.retract(Idx);
-      ASSERT_TRUE(A) << A.error().render();
-      ASSERT_TRUE(B) << B.error().render();
-      EXPECT_EQ(S2.stats().RetractedEdges, S.stats().RetractedEdges);
-      EXPECT_EQ(S2.stats().RequeuedEdges, S.stats().RequeuedEdges);
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
+    EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
+              semantics(S, *Sys.CS, *Sys.Dom));
+    if (S.status() == Status::Inconsistent) {
+      ++Witnessed;
+      for (size_t I = 0; I != S.conflicts().size(); ++I)
+        EXPECT_EQ(S2.conflictWitness(I), S.conflictWitness(I))
+            << "conflict " << I;
     }
-    // The seed corpus must actually exercise the witness comparison.
-    EXPECT_GT(Witnessed, 0u);
+
+    uint32_t Idx = static_cast<uint32_t>(
+        Seed % Sys.CS->constraints().size());
+    ASSERT_FALSE(Sys.CS->retract(Idx));
+    Expected<Status> A = S.retract(Idx);
+    Expected<Status> B = S2.retract(Idx);
+    ASSERT_TRUE(A) << A.error().render();
+    ASSERT_TRUE(B) << B.error().render();
+    EXPECT_EQ(S2.stats().RetractedEdges, S.stats().RetractedEdges);
+    EXPECT_EQ(S2.stats().RequeuedEdges, S.stats().RequeuedEdges);
+    EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
+              semantics(S, *Sys.CS, *Sys.Dom));
   }
+  // The seed corpus must actually exercise the witness comparison.
+  EXPECT_GT(Witnessed, 0u);
 }
 
 TEST(IncrementalSnapshot, PostRetractStateRoundTrips) {
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    for (uint64_t Seed : {11u, 23u, 37u}) {
-      SCOPED_TRACE(testgen::seedContext(Seed, Backend, 1, "postretract"));
-      Rng R(Seed);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      SolverOptions O = incrementalOptions(Backend, 1);
-      BidirectionalSolver S(*Sys.CS, O);
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
-      uint32_t Idx = static_cast<uint32_t>(
-          Seed % Sys.CS->constraints().size());
-      ASSERT_FALSE(Sys.CS->retract(Idx));
-      ASSERT_TRUE(S.retract(Idx));
+  for (uint64_t Seed : {11u, 23u, 37u}) {
+    SCOPED_TRACE(testgen::seedContext(Seed, 1, "postretract"));
+    Rng R(Seed);
+    testgen::RandomSystem Sys = testgen::randomSystem(R);
+    SolverOptions O = incrementalOptions(1);
+    BidirectionalSolver S(*Sys.CS, O);
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
+    uint32_t Idx = static_cast<uint32_t>(
+        Seed % Sys.CS->constraints().size());
+    ASSERT_FALSE(Sys.CS->retract(Idx));
+    ASSERT_TRUE(S.retract(Idx));
 
-      // v2 snapshots carry the retraction flags and counters.
-      std::string Path =
-          tempPath("incremental_post_" + std::to_string(Seed) + ".rsnap");
-      ASSERT_FALSE(S.saveCheckpoint(Path));
-      BidirectionalSolver S2(*Sys.CS, O);
-      std::optional<Diag> D = S2.restore(Path);
-      ASSERT_FALSE(D) << D->render();
-      std::remove(Path.c_str());
+    // v2 snapshots carry the retraction flags and counters.
+    std::string Path =
+        tempPath("incremental_post_" + std::to_string(Seed) + ".rsnap");
+    ASSERT_FALSE(S.saveCheckpoint(Path));
+    BidirectionalSolver S2(*Sys.CS, O);
+    std::optional<Diag> D = S2.restore(Path);
+    ASSERT_FALSE(D) << D->render();
+    std::remove(Path.c_str());
 
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-      EXPECT_EQ(S2.stats().Retractions, S.stats().Retractions);
-      EXPECT_EQ(S2.stats().RetractedEdges, S.stats().RetractedEdges);
-      EXPECT_EQ(S2.stats().RequeuedEdges, S.stats().RequeuedEdges);
+    EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
+              semantics(S, *Sys.CS, *Sys.Dom));
+    EXPECT_EQ(S2.stats().Retractions, S.stats().Retractions);
+    EXPECT_EQ(S2.stats().RetractedEdges, S.stats().RetractedEdges);
+    EXPECT_EQ(S2.stats().RequeuedEdges, S.stats().RequeuedEdges);
 
-      // And the restored solver can keep editing: retract another
-      // constraint on both and stay in lockstep.
-      uint32_t Next = (Idx + 1) %
-                      static_cast<uint32_t>(Sys.CS->constraints().size());
-      ASSERT_FALSE(Sys.CS->retract(Next));
-      Expected<Status> A = S.retract(Next);
-      Expected<Status> B = S2.retract(Next);
-      ASSERT_TRUE(A) << A.error().render();
-      ASSERT_TRUE(B) << B.error().render();
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-    }
+    // And the restored solver can keep editing: retract another
+    // constraint on both and stay in lockstep.
+    uint32_t Next = (Idx + 1) %
+                    static_cast<uint32_t>(Sys.CS->constraints().size());
+    ASSERT_FALSE(Sys.CS->retract(Next));
+    Expected<Status> A = S.retract(Next);
+    Expected<Status> B = S2.retract(Next);
+    ASSERT_TRUE(A) << A.error().render();
+    ASSERT_TRUE(B) << B.error().render();
+    EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
+              semantics(S, *Sys.CS, *Sys.Dom));
   }
 }
 
 TEST(IncrementalSnapshot, RetractionFlagMismatchRejected) {
   Rng R(13);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(1);
   BidirectionalSolver S(*Sys.CS, O);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   std::string Path = tempPath("incremental_flagskew.rsnap");
@@ -636,8 +612,7 @@ TEST(IncrementalMemory, RetractionIndexesAreAccounted) {
   Plain.solve();
   Rng R2(19);
   testgen::RandomSystem Sys2 = testgen::randomSystem(R2);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(1);
   O.CycleElimination = true; // match Plain's defaults otherwise
   BidirectionalSolver Inc(*Sys2.CS, O);
   Inc.solve();

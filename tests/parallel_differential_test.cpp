@@ -10,9 +10,9 @@
 /// with any thread count must reach the *identical* fixpoint as the
 /// sequential run — same status, same edge / composition / drop
 /// counts, same answer to every query, same enumerated terms. Runs
-/// over seeded random systems (both edge-dedup backends,
-/// Threads ∈ {1,2,4,8}, with the frontier threshold lowered to 1 so
-/// even tiny frontiers go through the round machinery) and over
+/// over seeded random systems (Threads ∈ {1,2,4,8}, with the
+/// frontier threshold lowered to 1 so even tiny frontiers go through
+/// the round machinery) and over
 /// constraint systems generated by all three applications. The
 /// sharded suites also require every parallel fixpoint to pass the
 /// independent Certifier, and run mixed schedules in which rounds
@@ -159,16 +159,10 @@ void checkParallelMatchesSequential(const ConstraintSystem &CS,
   }
 }
 
-void checkBothBackends(const ConstraintSystem &CS,
-                       const AnnotationDomain &D, uint64_t Seed) {
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    std::string Ctx = testgen::seedContext(Seed, Backend);
-    checkParallelMatchesSequential(CS, D, Base, Ctx);
-  }
+void checkSeed(const ConstraintSystem &CS, const AnnotationDomain &D,
+               uint64_t Seed) {
+  checkParallelMatchesSequential(CS, D, SolverOptions{},
+                                 testgen::seedContext(Seed));
 }
 
 /// One parallel schedule: the thread count (= dedup shard count) and
@@ -222,7 +216,7 @@ class ParallelDifferential : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ParallelDifferential, RandomSystems) {
   Rng R(GetParam());
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  checkBothBackends(*Sys.CS, *Sys.Dom, GetParam());
+  checkSeed(*Sys.CS, *Sys.Dom, GetParam());
 }
 
 // 59 seeds, matching the other differential suites.
@@ -236,29 +230,22 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, ParallelDifferential,
 class ShardedParallelDifferential
     : public ::testing::TestWithParam<uint64_t> {};
 
-void checkSchedulesBothBackends(uint64_t Seed,
-                                std::span<const Schedule> Schedules) {
+void checkSchedules(uint64_t Seed, std::span<const Schedule> Schedules) {
   Rng R(Seed);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    checkSchedulesMatchSequential(*Sys.CS, *Sys.Dom, Base, Schedules,
-                                  testgen::seedContext(Seed, Backend));
-  }
+  checkSchedulesMatchSequential(*Sys.CS, *Sys.Dom, SolverOptions{},
+                                Schedules, testgen::seedContext(Seed));
 }
 
 TEST_P(ShardedParallelDifferential, ExactStats) {
-  checkSchedulesBothBackends(GetParam(), RoundSchedules);
+  checkSchedules(GetParam(), RoundSchedules);
 }
 
 // Named for the retired relaxed-stats mode, which let ComposeCalls and
 // EdgesDropped drift: under mixed round/per-edge schedules those
 // counters, like every other, must now match the sequential run.
 TEST_P(ShardedParallelDifferential, RelaxedStats) {
-  checkSchedulesBothBackends(GetParam(), MixedSchedules);
+  checkSchedules(GetParam(), MixedSchedules);
 }
 
 // Same 59-seed corpus as the exact suite above.
@@ -289,8 +276,7 @@ TEST_P(AppParallelDifferential, PdmcChecker) {
 
   RascChecker Checker(Prog, *Spec);
   Checker.prepare(); // builds the constraint system, no solve
-  checkBothBackends(Checker.system(), Checker.system().domain(),
-                    GetParam());
+  checkSeed(Checker.system(), Checker.system().domain(), GetParam());
 }
 
 TEST_P(AppParallelDifferential, DataflowBitVector) {
@@ -313,7 +299,7 @@ TEST_P(AppParallelDifferential, DataflowBitVector) {
   // GenKillDomain has no dense compose table, so every composition
   // funnels through the sequential merge phase — exercises the
   // null-row deferral.
-  checkBothBackends(A.system(), A.system().domain(), GetParam());
+  checkSeed(A.system(), A.system().domain(), GetParam());
 }
 
 TEST_P(AppParallelDifferential, FlowAnalysis) {
@@ -328,7 +314,7 @@ TEST_P(AppParallelDifferential, FlowAnalysis) {
 
   for (FlowMode Mode : {FlowMode::Primal, FlowMode::Dual}) {
     FlowAnalysis FA(*P, Mode);
-    checkBothBackends(FA.system(), FA.domain(), GetParam());
+    checkSeed(FA.system(), FA.domain(), GetParam());
   }
 }
 

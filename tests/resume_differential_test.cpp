@@ -11,9 +11,9 @@
 /// cancellation — and then resumed must reach the *identical*
 /// fixpoint as an uninterrupted run: same status, same edge count,
 /// same answer to every constant query. Runs over seeded random
-/// systems (the solver_property_test generator), both edge-dedup
-/// backends, and constraint systems generated by all three
-/// applications (pdmc, dataflow, flow).
+/// systems (the solver_property_test generator) and constraint
+/// systems generated by all three applications (pdmc, dataflow,
+/// flow).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,28 +159,22 @@ unsigned checkInterruptedResume(const ConstraintSystem &CS,
   return Rounds;
 }
 
-/// Runs the whole matrix — both dedup backends x all interrupt kinds
-/// — for one constraint system.
+/// Runs every interrupt kind for one constraint system.
 void checkAllInterrupts(const ConstraintSystem &CS, uint64_t Seed) {
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    Fixpoint Expect = solveStraight(CS, Base);
-    uint64_t N = 1 + Seed % 7;
-    unsigned Interrupted = 0;
-    for (Interrupt K : AllInterrupts) {
-      std::string Ctx = testgen::seedContext(
-          Seed, Backend, 1, std::string("interrupt ") + interruptName(K));
-      Interrupted += checkInterruptedResume(CS, Base, K, N, Expect, Ctx);
-    }
-    // Guard against a vacuous pass: once the closure pops more edges
-    // than the largest trip point, the failpoint kinds (one
-    // governance check per pop) must have interrupted at least once.
-    if (Expect.Edges > 8) {
-      EXPECT_GT(Interrupted, 0u) << "seed " << Seed;
-    }
+  SolverOptions Base;
+  Fixpoint Expect = solveStraight(CS, Base);
+  uint64_t N = 1 + Seed % 7;
+  unsigned Interrupted = 0;
+  for (Interrupt K : AllInterrupts) {
+    std::string Ctx = testgen::seedContext(
+        Seed, 1, std::string("interrupt ") + interruptName(K));
+    Interrupted += checkInterruptedResume(CS, Base, K, N, Expect, Ctx);
+  }
+  // Guard against a vacuous pass: once the closure pops more edges
+  // than the largest trip point, the failpoint kinds (one governance
+  // check per pop) must have interrupted at least once.
+  if (Expect.Edges > 8) {
+    EXPECT_GT(Interrupted, 0u) << "seed " << Seed;
   }
 }
 

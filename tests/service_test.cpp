@@ -324,8 +324,8 @@ TEST_F(ServiceTest, RetractUndoesAConstraintOnline) {
   Conn C = loadAndSolve("undo");
   // Constraint 1 (0-based ingestion order) is "X0 <= X1": with it
   // withdrawn, c still bounds X0 but no longer reaches X1. The
-  // resident solver runs with IncrementalRetract, so the edit goes
-  // through cone invalidation, not a fresh re-solve.
+  // resident solver tracks provenance, so the edit goes through cone
+  // invalidation, not a fresh re-solve.
   Frame R = rpc(C, Op::Retract, "1");
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
   EXPECT_EQ(kvGet(R.Body, "status"), "solved");

@@ -167,13 +167,38 @@ TEST_F(Snapshot, ReaderRejectsTrailingGarbage) {
 // Solver snapshot round-trip
 //===----------------------------------------------------------------===//
 
-/// Builds, solves, and snapshots one random system; restores it into
-/// a second solver over the same system and checks full equivalence.
-void roundTrip(uint64_t Seed, SolverOptions::DedupBackend Backend) {
+/// Rewrites the snapshot at \p Path with META's first byte, the
+/// retired dedup-layout byte, set to \p Layout.
+void rewriteLayoutByte(const std::string &Path, uint8_t Layout) {
+  Expected<SnapshotReader> Rd = SnapshotReader::read(Path);
+  ASSERT_TRUE(Rd);
+  SnapshotWriter W;
+  for (uint32_t Tag :
+       {snapshot::TagMeta, snapshot::TagExprs, snapshot::TagConstraints,
+        snapshot::TagUnionFind, snapshot::TagEdges, snapshot::TagConflicts,
+        snapshot::TagWatchers, snapshot::TagDedup, snapshot::TagFnVars,
+        snapshot::TagStats}) {
+    std::optional<ByteReader> Sec = Rd->section(Tag);
+    ASSERT_TRUE(Sec);
+    ByteWriter &B = W.beginSection(Tag);
+    if (Tag == snapshot::TagMeta) {
+      Sec->u8();
+      B.u8(Layout);
+    }
+    while (!Sec->atEnd())
+      B.u8(Sec->u8());
+  }
+  ASSERT_FALSE(W.commit(Path, snapshot::FormatVersion));
+}
+
+/// Builds, solves, and snapshots one random system, with META's
+/// retired dedup-layout byte set to \p Layout (0 as the Bitset writer
+/// left it, 1 as the FlatSet writer did); restores it into a second
+/// solver over the same system and checks full equivalence.
+void roundTrip(uint64_t Seed, uint8_t Layout) {
   Rng R(Seed);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   SolverOptions Opts;
-  Opts.Dedup = Backend;
 
   BidirectionalSolver S(*Sys.CS, Opts);
   Status St = S.solve();
@@ -182,6 +207,8 @@ void roundTrip(uint64_t Seed, SolverOptions::DedupBackend Backend) {
   std::string Path =
       tempPath("snapshot_roundtrip_" + std::to_string(Seed) + ".rsnap");
   ASSERT_FALSE(S.saveCheckpoint(Path));
+  if (Layout != 0)
+    rewriteLayoutByte(Path, Layout);
 
   BidirectionalSolver S2(*Sys.CS, Opts);
   std::optional<Diag> D = S2.restore(Path);
@@ -203,12 +230,12 @@ void roundTrip(uint64_t Seed, SolverOptions::DedupBackend Backend) {
 
 TEST_F(Snapshot, RoundTripBitset) {
   for (uint64_t Seed = 1; Seed != 16; ++Seed)
-    roundTrip(Seed, SolverOptions::DedupBackend::Bitset);
+    roundTrip(Seed, 0);
 }
 
 TEST_F(Snapshot, RoundTripFlatSet) {
   for (uint64_t Seed = 1; Seed != 16; ++Seed)
-    roundTrip(Seed, SolverOptions::DedupBackend::FlatSet);
+    roundTrip(Seed, 1);
 }
 
 TEST_F(Snapshot, RoundTripWithProvenance) {
@@ -342,11 +369,36 @@ TEST_F(Snapshot, MismatchedOptionsRejected) {
   BidirectionalSolver S2(*Sys.CS, Flipped);
   EXPECT_TRUE(S2.restore(Path));
   EXPECT_TRUE(S2.unstarted());
+  std::remove(Path.c_str());
+}
 
-  SolverOptions OtherBackend = Opts;
-  OtherBackend.Dedup = SolverOptions::DedupBackend::FlatSet;
-  BidirectionalSolver S3(*Sys.CS, OtherBackend);
-  EXPECT_TRUE(S3.restore(Path)); // Auto resolved to Bitset at save
+TEST_F(Snapshot, RetiredDedupLayoutByte) {
+  // META's first byte once named the writer's dedup layout (0 or 1).
+  // The DEDU section holds layout-independent triples, so both old
+  // values restore; anything else is corrupt.
+  Rng R(6);
+  testgen::RandomSystem Sys = testgen::randomSystem(R);
+  BidirectionalSolver S(*Sys.CS);
+  S.solve();
+  std::string Path = tempPath("snapshot_layoutbyte.rsnap");
+
+  for (uint8_t Layout : {0, 1, 2}) {
+    SCOPED_TRACE("layout byte " + std::to_string(Layout));
+    ASSERT_FALSE(S.saveCheckpoint(Path));
+    rewriteLayoutByte(Path, Layout);
+
+    BidirectionalSolver S2(*Sys.CS);
+    std::optional<Diag> D = S2.restore(Path);
+    if (Layout <= 1) {
+      ASSERT_FALSE(D) << D->render();
+      EXPECT_EQ(fixpoint(S2, *Sys.CS), fixpoint(S, *Sys.CS));
+    } else {
+      ASSERT_TRUE(D);
+      EXPECT_NE(D->message().find("dedup layout"), std::string::npos)
+          << D->render();
+      EXPECT_TRUE(S2.unstarted());
+    }
+  }
   std::remove(Path.c_str());
 }
 

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/AnnSet.h"
 #include "support/DynamicBitset.h"
 #include "support/Hashing.h"
 #include "support/Rng.h"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 using namespace rasc;
 
@@ -83,6 +85,85 @@ TEST(DynamicBitset, ResizeKeepsLowBitsZeroesNew) {
   EXPECT_EQ(A.count(), 1u);
   A.resize(2);
   EXPECT_EQ(A.count(), 0u);
+}
+
+using EdgeTriple = std::tuple<uint32_t, uint32_t, uint32_t>;
+
+std::set<EdgeTriple> edgesOf(const ShardedEdgeDedup &D) {
+  std::set<EdgeTriple> Out;
+  D.forEachEdge([&](uint32_t A, uint32_t B, uint32_t Ann) {
+    EXPECT_TRUE(Out.emplace(A, B, Ann).second) << "edge listed twice";
+  });
+  return Out;
+}
+
+TEST(EdgeDedup, MatchesReferenceSetAcrossShards) {
+  // Few nodes and annotation ids both below 64 and in the thousands,
+  // so one (src, dst) pair spans many 64-bit blocks and most
+  // operations hit an existing slot.
+  for (unsigned Shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(Shards));
+    ShardedEdgeDedup D(Shards);
+    EXPECT_EQ(D.numShards(), Shards);
+    std::set<EdgeTriple> Ref;
+    Rng R(Shards * 7919 + 1);
+    auto randomEdge = [&] {
+      uint32_t A = static_cast<uint32_t>(R.below(12));
+      uint32_t B = static_cast<uint32_t>(R.below(30));
+      uint32_t Ann =
+          static_cast<uint32_t>(R.below(R.chance(1, 2) ? 64 : 4000));
+      return EdgeTriple{A, B, Ann};
+    };
+    for (int Op = 0; Op != 20000; ++Op) {
+      auto [A, B, Ann] = randomEdge();
+      EXPECT_LT(D.shardOf(B), Shards);
+      if (R.chance(1, 4)) {
+        EXPECT_EQ(D.erase(A, B, Ann), Ref.erase({A, B, Ann}) == 1);
+        EXPECT_FALSE(D.contains(A, B, Ann));
+      } else {
+        EXPECT_EQ(D.contains(A, B, Ann), Ref.count({A, B, Ann}) == 1);
+        EXPECT_EQ(D.insert(A, B, Ann), Ref.emplace(A, B, Ann).second);
+        EXPECT_TRUE(D.contains(A, B, Ann));
+      }
+    }
+    ASSERT_GT(Ref.size(), 1000u);
+    EXPECT_EQ(D.edgeCount(), Ref.size());
+    EXPECT_EQ(edgesOf(D), Ref);
+
+    // Erase followed by re-insert: the edge comes back as new, and
+    // erases keep every slot, so memoryBytes() does not move.
+    size_t Bytes = D.memoryBytes();
+    for (const auto &[A, B, Ann] : Ref) {
+      EXPECT_TRUE(D.erase(A, B, Ann));
+      EXPECT_FALSE(D.erase(A, B, Ann));
+      EXPECT_FALSE(D.contains(A, B, Ann));
+    }
+    EXPECT_EQ(D.edgeCount(), 0u);
+    EXPECT_TRUE(edgesOf(D).empty());
+    EXPECT_EQ(D.memoryBytes(), Bytes);
+    for (const auto &[A, B, Ann] : Ref) {
+      EXPECT_TRUE(D.insert(A, B, Ann));
+      EXPECT_FALSE(D.insert(A, B, Ann));
+    }
+    EXPECT_EQ(D.memoryBytes(), Bytes);
+    EXPECT_EQ(edgesOf(D), Ref);
+  }
+}
+
+TEST(EdgeDedup, OnePairSpansManyBlocks) {
+  // Every annotation of one (src, dst) pair up to 4096 — 64 blocks —
+  // with neighbouring pairs left untouched.
+  EdgeDedup D;
+  for (uint32_t Ann = 0; Ann < 4096; Ann += 3)
+    EXPECT_TRUE(D.insert(7, 9, Ann));
+  for (uint32_t Ann = 0; Ann != 4096; ++Ann) {
+    EXPECT_EQ(D.contains(7, 9, Ann), Ann % 3 == 0) << Ann;
+    EXPECT_FALSE(D.contains(9, 7, Ann));
+    EXPECT_FALSE(D.contains(7, 8, Ann));
+  }
+  EXPECT_EQ(D.edgeCount(), (4096u + 2) / 3);
+  EXPECT_FALSE(D.contains(7, 1u << 20, 0)); // beyond every destination
+  EXPECT_FALSE(D.erase(7, 1u << 20, 0));
 }
 
 TEST(UnionFind, MergesAndFinds) {

@@ -14,10 +14,10 @@
 ///    solver's known event names appear.
 ///  * The non-perturbation differential — solving with tracing and
 ///    metrics enabled must produce the bit-identical fixpoint and
-///    integer SolverStats as solving with them disabled, across seeds,
-///    both dedup backends, and sequential/parallel closure. This is
-///    the observability layer's core contract: it observes, never
-///    steers. (Wall-clock stats fields are excluded — they are
+///    integer SolverStats as solving with them disabled, across seeds
+///    and sequential/parallel closure. This is the observability
+///    layer's core contract: it observes, never steers. (Wall-clock
+///    stats fields are excluded — they are
 ///    genuinely nondeterministic.)
 ///  * MetricsRegistry unit behavior — counters, gauges, log2-bucket
 ///    histograms, snapshot consistency, reset, JSON shape.
@@ -343,29 +343,24 @@ TEST(TraceDifferential, TracingDoesNotPerturbFixpoints) {
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     Rng R(Seed * 1069);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
-    for (SolverOptions::DedupBackend Backend :
-         {SolverOptions::DedupBackend::Bitset,
-          SolverOptions::DedupBackend::FlatSet}) {
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(testgen::seedContext(Seed, Backend, Threads));
-        SolverOptions O;
-        O.Dedup = Backend;
-        O.Threads = Threads;
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(testgen::seedContext(Seed, Threads));
+      SolverOptions O;
+      O.Threads = Threads;
 
-        trace::setEnabled(false);
-        observe::setMetricsEnabled(false);
-        SolveImage Off = solveImage(*Sys.CS, O);
+      trace::setEnabled(false);
+      observe::setMetricsEnabled(false);
+      SolveImage Off = solveImage(*Sys.CS, O);
 
-        trace::clear();
-        trace::setEnabled(true);
-        observe::setMetricsEnabled(true);
-        SolveImage On = solveImage(*Sys.CS, O);
-        trace::setEnabled(false);
-        observe::setMetricsEnabled(false);
+      trace::clear();
+      trace::setEnabled(true);
+      observe::setMetricsEnabled(true);
+      SolveImage On = solveImage(*Sys.CS, O);
+      trace::setEnabled(false);
+      observe::setMetricsEnabled(false);
 
-        EXPECT_TRUE(Off == On)
-            << "tracing/metrics changed the fixpoint or the stats";
-      }
+      EXPECT_TRUE(Off == On)
+          << "tracing/metrics changed the fixpoint or the stats";
     }
   }
 }
