@@ -98,8 +98,8 @@ void BM_RetractReclose(benchmark::State &State) {
   MonoidDomain Dom(buildOneBitMachine());
   double Retracted = 0, Requeued = 0, Edges = 0;
   for (auto _ : State) {
-    // Untimed: rebuild the system and solve it to quiescence with the
-    // retraction indexes live.
+    // Untimed: rebuild the system and solve it to quiescence with
+    // provenance tracked.
     ConstraintSystem CS(Dom);
     buildDag(CS, Dom, kNumVars, kSeed);
     BidirectionalSolver S(CS, incrementalOptions());

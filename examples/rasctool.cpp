@@ -44,12 +44,12 @@
 ///                    constraint N (0-based ingestion order) and
 ///                    re-solve incrementally (DESIGN.md section 11);
 ///                    repeatable, applied in order. Implies
-///                    provenance tracking, which maintains the
-///                    retraction indexes. Falls back to a fresh
+///                    provenance tracking, whose records each retract
+///                    derives its premise links from. Falls back to a fresh
 ///                    re-solve if the incremental preconditions fail
 ///                    (e.g. after cycle collapse).
-///   --incremental    solve with provenance tracking (and so the
-///                    retraction indexes) even without --retract —
+///   --incremental    solve with provenance tracking (the records
+///                    retraction walks) even without --retract —
 ///                    needed to restore/--certify snapshots written by
 ///                    a provenance-tracking solver (e.g. rascd's, which
 ///                    keeps retraction live by default): snapshot
@@ -242,8 +242,8 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
               Name, P->system().constraints().size(),
               Dom.machine().numStates(), Dom.size());
 
-  // Witnesses and the retraction indexes need provenance from the
-  // first solve.
+  // Witnesses and retraction walk provenance records, which must be
+  // kept from the first solve.
   Cli.Solver.TrackProvenance |= Cli.Explain || !Cli.Retract.empty();
   Cli.Solver.Threads = Cli.Threads;
   Cli.Solver.CheckpointPath = Cli.CheckpointPath;
@@ -339,7 +339,7 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
   if (S == Status::Inconsistent && Cli.Explain &&
       !Solver.conflicts().empty()) {
     std::printf("why inconsistent:\n");
-    Expected<std::vector<std::string>> W = Solver.conflictWitnessEx(0);
+    Expected<std::vector<std::string>> W = Solver.conflictWitness(0);
     if (W)
       for (const std::string &Line : *W)
         std::printf("  %s\n", Line.c_str());

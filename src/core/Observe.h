@@ -138,7 +138,7 @@ void setMetricsEnabled(bool On);
 
 /// When > 0, the solver prints a one-line progress report to stderr at
 /// most this often (checked at governance cadence, so granularity is
-/// SolverOptions::GovernanceCheckInterval pops). 0 disables.
+/// 256 worklist pops). 0 disables.
 void setProgressEverySeconds(double Seconds);
 double progressEverySeconds();
 

@@ -761,11 +761,8 @@ std::optional<Diag> BidirectionalSolver::restore(const std::string &Path) {
   FnVarSol.clear();
   FnVarSolFresh = false;
   PopsSinceCheckpoint = 0;
-  // The retraction indexes (parent arena indices plus the triple map
-  // resolving premise edges) are a deterministic function of the
-  // committed provenance records, so they are rebuilt, not stored.
-  if (Options.TrackProvenance)
-    rebuildProvIndex();
+  // The provenance records restore as saved; the premise links their
+  // users walk are derived from them on demand, never stored.
 
   //===--------------------------------------------------------------===//
   // Phase C: certify the restored closure independently. A snapshot

@@ -18,8 +18,8 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
+#include <utility>
 
 using namespace rasc;
 
@@ -28,6 +28,10 @@ namespace {
 /// Smallest pending frontier worth a parallel round (see
 /// BidirectionalSolver::ParallelFrontierThreshold).
 constexpr uint32_t DefaultParallelFrontierThreshold = 128;
+
+/// Worklist pops between slow governance checks (see
+/// BidirectionalSolver::GovernanceCheckInterval).
+constexpr uint32_t DefaultGovernanceCheckInterval = 256;
 
 /// SolverOptions::Threads with 0 resolved to the hardware thread
 /// count. At construction this is also the dedup shard count, so the
@@ -96,7 +100,8 @@ BidirectionalSolver::BidirectionalSolver(const ConstraintSystem &CS,
                                          SolverOptions Opts)
     : CS(CS), Options(Opts),
       EdgeSeen(resolveThreads(Opts)),
-      ParallelFrontierThreshold(DefaultParallelFrontierThreshold) {}
+      ParallelFrontierThreshold(DefaultParallelFrontierThreshold),
+      GovernanceCheckInterval(DefaultGovernanceCheckInterval) {}
 
 BidirectionalSolver::~BidirectionalSolver() = default;
 
@@ -329,16 +334,8 @@ void BidirectionalSolver::insertFreshEdge(ExprId Src, ExprId Dst,
   Succs.append(Src, Dst, Ann);
   Preds.append(Dst, Src, Ann);
   EdgeArena.push_back({Src, Dst, Ann});
-  if (Options.TrackProvenance) {
+  if (Options.TrackProvenance)
     EdgeProvs.push_back(CurProv);
-    // Retraction indexes: register this triple and resolve the
-    // premise triples to their arena indices while they are O(1)
-    // lookups (premises are always already-inserted edges).
-    uint32_t I = static_cast<uint32_t>(EdgeArena.size() - 1);
-    registerProvEdge(Src, Dst, Ann, I);
-    ProvPar1.push_back(provEdgeIndex(CurProv.P1));
-    ProvPar2.push_back(provEdgeIndex(CurProv.P2));
-  }
   if (Proof)
     emitProofEdge(/*IsConflict=*/false, Src, Dst, Ann);
 }
@@ -563,9 +560,7 @@ BidirectionalSolver::runClosure(std::chrono::steady_clock::time_point Start) {
   // two integer compares per pop; the expensive checks (clock read,
   // atomic load, memory walk, failpoints) run every
   // GovernanceCheckInterval pops via governanceCheck().
-  const uint32_t Interval =
-      Options.GovernanceCheckInterval ? Options.GovernanceCheckInterval : 1;
-  uint32_t UntilSlow = Interval;
+  uint32_t UntilSlow = GovernanceCheckInterval;
 
   while (PendingHead != EdgeArena.size()) {
     if (Options.MaxEdges != 0 && Stats.EdgesInserted > Options.MaxEdges)
@@ -579,7 +574,7 @@ BidirectionalSolver::runClosure(std::chrono::steady_clock::time_point Start) {
       return S;
     }
     if (--UntilSlow == 0) {
-      UntilSlow = Interval;
+      UntilSlow = GovernanceCheckInterval;
       Status S = governanceCheck(Start);
       if (S != Status::Solved)
         return S;
@@ -600,9 +595,7 @@ BidirectionalSolver::runClosure(std::chrono::steady_clock::time_point Start) {
 
 BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
     std::chrono::steady_clock::time_point Start, unsigned Threads) {
-  const uint32_t Interval =
-      Options.GovernanceCheckInterval ? Options.GovernanceCheckInterval : 1;
-  uint32_t UntilSlow = Interval;
+  uint32_t UntilSlow = GovernanceCheckInterval;
   // Cap on edges per round: bounds the interrupt latency (budgets are
   // only enforced between rounds) and the round scratch.
   constexpr size_t MaxRoundEdges = size_t(1) << 16;
@@ -622,7 +615,7 @@ BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
       return S;
     }
     if (--UntilSlow == 0) {
-      UntilSlow = Interval;
+      UntilSlow = GovernanceCheckInterval;
       Status S = governanceCheck(Start);
       if (S != Status::Solved)
         return S;
@@ -1088,6 +1081,83 @@ void BidirectionalSolver::openProofLogIfRequested() {
   }
 }
 
+namespace {
+
+/// Premise links of the provenance DAG: per record, the arena indices
+/// of the two premise edges its derivation names (~0u where the slot
+/// is unused or names no arena edge).
+using PremiseLinks = std::vector<std::array<uint32_t, 2>>;
+
+/// Derives the premise links of the arena edges' records \p Provs
+/// (parallel to \p Arena), followed by those of the conflict records
+/// \p ConflictProvs. Nothing is maintained per insert: the callers
+/// (retract(), a proof-log rebuild after retractions, conflict
+/// witnesses) each pay this one O(|arena|) pass instead. The triple
+/// index — (src, dst) to a dense pair id, then (pair id, ann) to the
+/// arena index — is complete before any premise resolves, because a
+/// retraction's compaction can move a parent behind its child; it is
+/// freed on return.
+template <typename EdgeT, typename ProvT>
+PremiseLinks premiseLinks(const std::vector<EdgeT> &Arena,
+                          const std::vector<ProvT> &Provs,
+                          const std::vector<ProvT> &ConflictProvs) {
+  const uint32_t E = static_cast<uint32_t>(Arena.size());
+  auto key = [](uint32_t Hi, uint32_t Lo) {
+    return (static_cast<uint64_t>(Hi) << 32) | Lo;
+  };
+  FlatMap64 PairIds, Triples;
+  PairIds.reserve(E);
+  Triples.reserve(E);
+  uint32_t NumPairs = 0;
+  for (uint32_t I = 0; I != E; ++I) {
+    auto [Pid, Fresh] =
+        PairIds.findOrInsert(key(Arena[I].Src, Arena[I].Dst), NumPairs);
+    NumPairs += Fresh;
+    Triples.findOrInsert(key(Pid, Arena[I].Ann), I);
+  }
+  auto indexOf = [&](const EdgeT &Ed) -> uint32_t {
+    if (Ed.Src == InvalidExpr)
+      return ~0u;
+    const uint32_t *Pid = PairIds.lookup(key(Ed.Src, Ed.Dst));
+    const uint32_t *Idx = Pid ? Triples.lookup(key(*Pid, Ed.Ann)) : nullptr;
+    return Idx ? *Idx : ~0u;
+  };
+  PremiseLinks Par;
+  Par.reserve(E + ConflictProvs.size());
+  for (const std::vector<ProvT> *Recs : {&Provs, &ConflictProvs})
+    for (const ProvT &P : *Recs)
+      Par.push_back({indexOf(P.P1), indexOf(P.P2)});
+  return Par;
+}
+
+/// The first \p E premise links inverted into per-parent children
+/// lists. A link is (child << 1 | premise slot); a child joins at most
+/// two parents' lists, once per distinct parent.
+struct ChildLists {
+  std::vector<uint32_t> Head; ///< per parent: first link, ~0u = none
+  std::vector<uint32_t> Next; ///< per link: the parent's next link
+
+  /// Invokes \p F(child) for every child of \p P.
+  template <typename Fn> void forEachChild(uint32_t P, Fn &&F) const {
+    for (uint32_t L = Head[P]; L != ~0u; L = Next[L])
+      F(L >> 1);
+  }
+};
+
+ChildLists childLists(const PremiseLinks &Par, uint32_t E) {
+  ChildLists CL{std::vector<uint32_t>(E, ~0u),
+                std::vector<uint32_t>(2 * size_t(E), ~0u)};
+  for (uint32_t I = 0; I != E; ++I)
+    for (uint32_t S = 0; S != 2; ++S)
+      if (uint32_t P = Par[I][S]; P != ~0u && (S == 0 || P != Par[I][0])) {
+        CL.Next[2 * I + S] = CL.Head[P];
+        CL.Head[P] = 2 * I + S;
+      }
+  return CL;
+}
+
+} // namespace
+
 void BidirectionalSolver::rebuildProofLog() {
   // Collapses first: everything after them is phrased in
   // representatives.
@@ -1114,26 +1184,15 @@ void BidirectionalSolver::rebuildProofLog() {
   // order and deterministic).
   const uint32_t E = static_cast<uint32_t>(EdgeArena.size());
   std::vector<uint32_t> Order(E);
-  if (Stats.Retractions == 0 || ProvPar1.size() != E ||
-      ProvPar2.size() != E) {
+  if (Stats.Retractions == 0) {
     for (uint32_t I = 0; I != E; ++I)
       Order[I] = I;
   } else {
+    const ChildLists Children =
+        childLists(premiseLinks(EdgeArena, EdgeProvs, ConflictProvs), E);
     std::vector<uint32_t> Indeg(E, 0);
-    std::vector<uint32_t> ChildHead(E, ~0u), ChildNext1(E, ~0u),
-        ChildNext2(E, ~0u);
-    for (uint32_t I = 0; I != E; ++I) {
-      if (uint32_t P = ProvPar1[I]; P != ~0u) {
-        ChildNext1[I] = ChildHead[P];
-        ChildHead[P] = I;
-        ++Indeg[I];
-      }
-      if (uint32_t P = ProvPar2[I]; P != ~0u && P != ProvPar1[I]) {
-        ChildNext2[I] = ChildHead[P];
-        ChildHead[P] = I;
-        ++Indeg[I];
-      }
-    }
+    for (uint32_t P = 0; P != E; ++P)
+      Children.forEachChild(P, [&](uint32_t C) { ++Indeg[C]; });
     std::vector<uint32_t> Queue;
     Queue.reserve(E);
     for (uint32_t I = 0; I != E; ++I)
@@ -1143,10 +1202,10 @@ void BidirectionalSolver::rebuildProofLog() {
     while (Head != Queue.size()) {
       uint32_t P = Queue[Head++];
       Order[Done++] = P;
-      for (uint32_t C = ChildHead[P]; C != ~0u;
-           C = ProvPar1[C] == P ? ChildNext1[C] : ChildNext2[C])
+      Children.forEachChild(P, [&](uint32_t C) {
         if (--Indeg[C] == 0)
           Queue.push_back(C);
+      });
     }
     if (Done != E) {
       abandonProof("proof log rebuild failed: premise links do not "
@@ -1220,56 +1279,15 @@ void BidirectionalSolver::abandonProof(const char *Why) {
   ++Stats.ProofFailures;
 }
 
-uint32_t BidirectionalSolver::provEdgeIndex(const Edge &E) const {
-  if (E.Src == InvalidExpr)
-    return ~0u;
-  const uint32_t *Pid =
-      ProvPairIds.lookup((static_cast<uint64_t>(E.Src) << 32) | E.Dst);
-  if (!Pid)
-    return ~0u;
-  const uint32_t *Idx =
-      ProvTriples.lookup((static_cast<uint64_t>(*Pid) << 32) | E.Ann);
-  return Idx ? *Idx : ~0u;
-}
-
-void BidirectionalSolver::registerProvEdge(ExprId Src, ExprId Dst,
-                                           AnnId Ann, uint32_t I) {
-  auto [Pid, Fresh] = ProvPairIds.findOrInsert(
-      (static_cast<uint64_t>(Src) << 32) | Dst, NextProvPairId);
-  if (Fresh)
-    ++NextProvPairId;
-  ProvTriples.findOrInsert((static_cast<uint64_t>(Pid) << 32) | Ann, I);
-}
-
-void BidirectionalSolver::rebuildProvIndex() {
-  ProvPairIds.clear();
-  ProvTriples.clear();
-  NextProvPairId = 0;
-  const uint32_t E = static_cast<uint32_t>(EdgeArena.size());
-  ProvPairIds.reserve(E);
-  ProvTriples.reserve(E);
-  // Two passes: a retraction compaction can move a requeued parent
-  // *behind* its surviving child in the arena, so every triple must
-  // be registered before any premise is resolved.
-  for (uint32_t I = 0; I != E; ++I)
-    registerProvEdge(EdgeArena[I].Src, EdgeArena[I].Dst, EdgeArena[I].Ann,
-                     I);
-  ProvPar1.assign(E, ~0u);
-  ProvPar2.assign(E, ~0u);
-  for (uint32_t I = 0; I != E; ++I) {
-    ProvPar1[I] = provEdgeIndex(EdgeProvs[I].P1);
-    ProvPar2[I] = provEdgeIndex(EdgeProvs[I].P2);
-  }
-}
-
 /// Delta re-solve (DESIGN.md §11), in five steps:
 ///
-/// 1. *Cone.* The parent links are inverted into a transient children
-///    index and the derivation cone of the retracted constraint's
-///    facts — surface/projection records with its index, plus
-///    everything whose *first* derivation rests on a cone edge — is
-///    collected by BFS. Conflicts are checked against the same cone
-///    through their premise triples.
+/// 1. *Cone.* The premise links are derived from the provenance
+///    records and inverted into transient children lists, and the
+///    derivation cone of the retracted constraint's facts —
+///    surface/projection records with its index, plus everything whose
+///    *first* derivation rests on a cone edge — is collected by BFS.
+///    Conflicts are checked against the same cone through their
+///    premise links. Links and lists are freed before re-closing.
 ///
 /// 2. *Affected set and frontier.* Every endpoint of a removed edge
 ///    or conflict is "affected". A surviving edge is requeued when it
@@ -1291,7 +1309,7 @@ void BidirectionalSolver::rebuildProvIndex() {
 ///    the frontier moved to the pending tail; adjacency is rebuilt
 ///    from the compacted arena into the retained chunk arenas, the
 ///    exactly-once processed-prefix counters are recounted over the
-///    new processed prefix, and the retraction indexes are rebuilt.
+///    new processed prefix.
 ///
 /// 5. *Re-ingest and re-close.* Surviving surface constraints are
 ///    re-added (a dedup bit first claimed by a removed derivation
@@ -1353,43 +1371,42 @@ BidirectionalSolver::retract(uint32_t Idx) {
   constexpr uint8_t KCons = static_cast<uint8_t>(ExprKind::Cons);
   constexpr uint8_t KVar = static_cast<uint8_t>(ExprKind::Var);
 
-  // Step 1: derivation cone. Children index: per-parent intrusive
-  // lists threaded through the two per-child slots (a child links
-  // into at most two parents' lists).
-  std::vector<uint32_t> ChildHead(OldE, ~0u);
-  std::vector<uint32_t> ChildNext1(OldE, ~0u);
-  std::vector<uint32_t> ChildNext2(OldE, ~0u);
-  for (uint32_t I = 0; I != OldE; ++I) {
-    if (uint32_t P = ProvPar1[I]; P != ~0u) {
-      ChildNext1[I] = ChildHead[P];
-      ChildHead[P] = I;
-    }
-    if (uint32_t P = ProvPar2[I]; P != ~0u && P != ProvPar1[I]) {
-      ChildNext2[I] = ChildHead[P];
-      ChildHead[P] = I;
-    }
-  }
+  // Step 1: derivation cone, and the conflicts resting on it (or
+  // asserted by the retracted constraint itself), which die with it.
+  // The links go out of scope here, before anything re-closes.
   std::vector<uint8_t> InCone(OldE, 0);
-  std::vector<uint32_t> Work;
+  std::vector<uint8_t> ConflictGone(Conflicts.size(), 0);
   auto isSeed = [&](const EdgeProv &P) {
     return (P.Kind == EdgeProv::Rule::Surface ||
             P.Kind == EdgeProv::Rule::Projection) &&
            P.CIdx == Idx;
   };
-  for (uint32_t I = 0; I != OldE; ++I)
-    if (isSeed(EdgeProvs[I])) {
-      InCone[I] = 1;
-      Work.push_back(I);
-    }
-  while (!Work.empty()) {
-    uint32_t P = Work.back();
-    Work.pop_back();
-    for (uint32_t C = ChildHead[P]; C != ~0u;
-         C = ProvPar1[C] == P ? ChildNext1[C] : ChildNext2[C])
-      if (!InCone[C]) {
-        InCone[C] = 1;
-        Work.push_back(C);
+  {
+    const PremiseLinks Par =
+        premiseLinks(EdgeArena, EdgeProvs, ConflictProvs);
+    const ChildLists Children = childLists(Par, OldE);
+    std::vector<uint32_t> Work;
+    for (uint32_t I = 0; I != OldE; ++I)
+      if (isSeed(EdgeProvs[I])) {
+        InCone[I] = 1;
+        Work.push_back(I);
       }
+    while (!Work.empty()) {
+      uint32_t P = Work.back();
+      Work.pop_back();
+      Children.forEachChild(P, [&](uint32_t C) {
+        if (!InCone[C]) {
+          InCone[C] = 1;
+          Work.push_back(C);
+        }
+      });
+    }
+    for (size_t I = 0; I != Conflicts.size(); ++I) {
+      const std::array<uint32_t, 2> &Prem = Par[OldE + I];
+      ConflictGone[I] = isSeed(ConflictProvs[I]) ||
+                        (Prem[0] != ~0u && InCone[Prem[0]]) ||
+                        (Prem[1] != ~0u && InCone[Prem[1]]);
+    }
   }
   uint32_t ConeCount = 0;
   for (uint32_t I = 0; I != OldE; ++I)
@@ -1413,28 +1430,13 @@ BidirectionalSolver::retract(uint32_t Idx) {
     if (InCone[I])
       markRemoved(EdgeArena[I].Src, EdgeArena[I].Dst);
 
-  // Conflicts resting on the cone (or asserted by the retracted
-  // constraint itself) die with it; their endpoints count as affected
-  // so surviving premises requeue and re-derive any conflict that is
-  // still derivable.
-  std::vector<uint8_t> ConflictGone(Conflicts.size(), 0);
-  for (size_t I = 0; I != Conflicts.size(); ++I) {
-    const EdgeProv &P = ConflictProvs[I];
-    bool Gone = isSeed(P);
-    if (!Gone && P.P1.Src != InvalidExpr) {
-      uint32_t J = provEdgeIndex(P.P1);
-      Gone = J != ~0u && InCone[J];
+  // Dead conflicts' endpoints count as affected too, so surviving
+  // premises requeue and re-derive any conflict still derivable.
+  for (size_t I = 0; I != Conflicts.size(); ++I)
+    if (ConflictGone[I]) {
+      markRemoved(Conflicts[I].Src, Conflicts[I].Dst);
+      EdgeSeen.erase(Conflicts[I].Src, Conflicts[I].Dst, Conflicts[I].Ann);
     }
-    if (!Gone && P.P2.Src != InvalidExpr) {
-      uint32_t J = provEdgeIndex(P.P2);
-      Gone = J != ~0u && InCone[J];
-    }
-    if (!Gone)
-      continue;
-    ConflictGone[I] = 1;
-    markRemoved(Conflicts[I].Src, Conflicts[I].Dst);
-    EdgeSeen.erase(Conflicts[I].Src, Conflicts[I].Dst, Conflicts[I].Ann);
-  }
 
   // Step 3 (watchers first: the frontier rules below must only see
   // surviving watchers): a retracted projection constraint takes its
@@ -1608,7 +1610,6 @@ BidirectionalSolver::retract(uint32_t Idx) {
     ++SuccDone[EdgeArena[I].Src];
     ++PredDone[EdgeArena[I].Dst];
   }
-  rebuildProvIndex();
 
   // Step 5a: re-ingest surviving surface constraints. A constraint
   // whose surface triple was first claimed by a removed derivation
@@ -1645,11 +1646,6 @@ void BidirectionalSolver::resetToFresh() {
   EdgeProvs.clear();
   ConflictProvs.clear();
   CurProv = EdgeProv{};
-  ProvPar1.clear();
-  ProvPar2.clear();
-  ProvPairIds = FlatMap64{};
-  ProvTriples = FlatMap64{};
-  NextProvPairId = 0;
   VarReps = UnionFind{};
   Succs = AdjacencyLists{};
   Preds = AdjacencyLists{};
@@ -1687,9 +1683,6 @@ size_t BidirectionalSolver::memoryBytes() const {
              VarNode.capacity() * sizeof(ExprId) +
              (EdgeProvs.capacity() + ConflictProvs.capacity()) *
                  sizeof(EdgeProv) +
-             (ProvPar1.capacity() + ProvPar2.capacity()) *
-                 sizeof(uint32_t) +
-             ProvPairIds.memoryBytes() + ProvTriples.memoryBytes() +
              Watchers.capacity() * sizeof(std::vector<Watcher>) +
              (RoundSuccLimit.capacity() + RoundPredLimit.capacity()) *
                  sizeof(uint32_t) +
@@ -1709,14 +1702,21 @@ size_t BidirectionalSolver::memoryBytes() const {
   return N;
 }
 
-std::vector<std::string>
+Expected<std::vector<std::string>>
 BidirectionalSolver::conflictWitness(size_t I) const {
-  std::vector<std::string> Out;
   // Provenance must have been tracked from the first solve(): the
   // records are parallel to the arena and the conflict list.
-  if (I >= Conflicts.size() || ConflictProvs.size() != Conflicts.size() ||
+  if (ConflictProvs.size() != Conflicts.size() ||
       EdgeProvs.size() != EdgeArena.size())
-    return Out;
+    return Diag(
+        "conflict witness unavailable: provenance was not recorded — "
+        "enable SolverOptions::TrackProvenance before the first solve() "
+        "(a snapshot saved without provenance cannot gain it on "
+        "restore)");
+  if (I >= Conflicts.size())
+    return Diag("conflict witness: index " + std::to_string(I) +
+                " out of range (have " + std::to_string(Conflicts.size()) +
+                " conflicts)");
 
   const AnnotationDomain &D = CS.domain();
   auto renderEdge = [&](const Edge &E) {
@@ -1729,95 +1729,62 @@ BidirectionalSolver::conflictWitness(size_t I) const {
            CS.exprToString(C.Rhs);
   };
 
-  // Resolve premise triples against the arena (cold path; built per
-  // query rather than carried on the hot insert path).
-  using Triple = std::array<uint32_t, 3>;
-  std::map<Triple, uint32_t> ByTriple;
-  for (uint32_t J = 0, E = static_cast<uint32_t>(EdgeArena.size()); J != E;
-       ++J) {
-    const Edge &Ed = EdgeArena[J];
-    ByTriple.emplace(Triple{Ed.Src, Ed.Dst, Ed.Ann}, J);
-  }
-
-  // Post-order walk of the derivation DAG: premises render before the
-  // steps that use them, so the chain reads top-down from surface
-  // constraints to the mismatch. Iterative — derivations can be as
-  // deep as the arena.
+  // Post-order walk of the derivation DAG over the premise links:
+  // premises render before the steps that use them, so the chain reads
+  // top-down from surface constraints to the mismatch. Iterative —
+  // derivations can be as deep as the arena. Records below E are arena
+  // edges; the root, record E + I, is the conflict.
+  const uint32_t E = static_cast<uint32_t>(EdgeArena.size());
+  const uint32_t Root = E + static_cast<uint32_t>(I);
+  const PremiseLinks Par = premiseLinks(EdgeArena, EdgeProvs, ConflictProvs);
   struct Frame {
-    Edge E;
-    const EdgeProv *P;
+    uint32_t Rec;
     bool Expanded;
   };
-  std::set<Triple> Emitted;
-  std::vector<Frame> Stack;
-  const SolvedEdge &CE = Conflicts[I];
-  Stack.push_back({Edge{CE.Src, CE.Dst, CE.Ann}, &ConflictProvs[I], false});
+  std::vector<uint8_t> Emitted(E, 0);
+  std::vector<Frame> Stack{{Root, false}};
+  std::vector<std::string> Out;
 
   while (!Stack.empty()) {
+    const uint32_t Rec = Stack.back().Rec;
     if (!Stack.back().Expanded) {
       Stack.back().Expanded = true;
-      const EdgeProv *P = Stack.back().P;
       // Push P2 first so P1's subtree renders first.
-      for (const Edge *Prem : {&P->P2, &P->P1}) {
-        if (Prem->Src == InvalidExpr)
-          continue;
-        Triple K{Prem->Src, Prem->Dst, Prem->Ann};
-        if (Emitted.count(K))
-          continue;
-        auto It = ByTriple.find(K);
-        if (It != ByTriple.end())
-          Stack.push_back({*Prem, &EdgeProvs[It->second], false});
-      }
+      for (uint32_t J : {Par[Rec][1], Par[Rec][0]})
+        if (J != ~0u && !Emitted[J])
+          Stack.push_back({J, false});
       continue;
     }
-    Frame Cur = Stack.back();
     Stack.pop_back();
-    bool IsConflict = Stack.empty();
-    if (!IsConflict &&
-        !Emitted.insert(Triple{Cur.E.Src, Cur.E.Dst, Cur.E.Ann}).second)
+    const bool IsConflict = Rec == Root;
+    if (!IsConflict && std::exchange(Emitted[Rec], 1))
       continue; // shared premise already rendered
+    const SolvedEdge &CE = Conflicts[I];
+    const Edge Cur = IsConflict ? Edge{CE.Src, CE.Dst, CE.Ann} : EdgeArena[Rec];
+    const EdgeProv &P = IsConflict ? ConflictProvs[I] : EdgeProvs[Rec];
     std::string Line;
-    switch (Cur.P->Kind) {
+    switch (P.Kind) {
     case EdgeProv::Rule::Surface:
-      Line = "[surface #" + std::to_string(Cur.P->CIdx) + "] " +
-             renderEdge(Cur.E);
+      Line = "[surface #" + std::to_string(P.CIdx) + "] " + renderEdge(Cur);
       break;
     case EdgeProv::Rule::Transitive:
-      Line = "[trans] " + renderEdge(Cur.E) + "  from  " +
-             renderEdge(Cur.P->P1) + "  and  " + renderEdge(Cur.P->P2);
+      Line = "[trans] " + renderEdge(Cur) + "  from  " + renderEdge(P.P1) +
+             "  and  " + renderEdge(P.P2);
       break;
     case EdgeProv::Rule::Decompose:
-      Line = "[decomp] " + renderEdge(Cur.E) + "  from  " +
-             renderEdge(Cur.P->P1);
+      Line = "[decomp] " + renderEdge(Cur) + "  from  " + renderEdge(P.P1);
       break;
     case EdgeProv::Rule::Projection:
-      Line = "[proj #" + std::to_string(Cur.P->CIdx) + " (" +
-             renderCons(Cur.P->CIdx) + ")] " + renderEdge(Cur.E) +
-             "  from  " + renderEdge(Cur.P->P1);
+      Line = "[proj #" + std::to_string(P.CIdx) + " (" + renderCons(P.CIdx) +
+             ")] " + renderEdge(Cur) + "  from  " + renderEdge(P.P1);
       break;
     }
     Out.push_back(std::move(Line));
     if (IsConflict)
       Out.push_back("[inconsistent] constructor mismatch: " +
-                    renderEdge(Cur.E));
+                    renderEdge(Cur));
   }
   return Out;
-}
-
-Expected<std::vector<std::string>>
-BidirectionalSolver::conflictWitnessEx(size_t I) const {
-  if (ConflictProvs.size() != Conflicts.size() ||
-      EdgeProvs.size() != EdgeArena.size())
-    return Diag(
-        "conflict witness unavailable: provenance was not recorded — "
-        "enable SolverOptions::TrackProvenance before the first solve() "
-        "(a snapshot saved without provenance cannot gain it on "
-        "restore)");
-  if (I >= Conflicts.size())
-    return Diag("conflict witness: index " + std::to_string(I) +
-                " out of range (have " + std::to_string(Conflicts.size()) +
-                " conflicts)");
-  return conflictWitness(I);
 }
 
 std::vector<std::pair<ExprId, AnnId>>

@@ -35,7 +35,6 @@
 #include "core/GroundTerm.h"
 #include "support/Adjacency.h"
 #include "support/AnnSet.h"
-#include "support/FlatSet.h"
 #include "support/Trace.h"
 #include "support/UnionFind.h"
 
@@ -86,8 +85,8 @@ struct SolverOptions {
 
   /// Wall-clock budget for one solve() call, measured from its entry;
   /// 0 = none. Expiring interrupts with Status::Deadline (resumable).
-  /// Checked every GovernanceCheckInterval worklist pops, so the
-  /// precision is one check interval's worth of closure work.
+  /// Checked at the governance cadence (every 256 worklist pops), so
+  /// the precision is one check interval's worth of closure work.
   double DeadlineSeconds = 0;
 
   /// Approximate budget on solver-owned heap memory (edge arena,
@@ -128,13 +127,6 @@ struct SolverOptions {
   std::atomic<uint64_t> *GroupMemory = nullptr;
   uint64_t MaxGroupMemoryBytes = 0;
 
-  /// Worklist pops between the "slow" governance checks (deadline,
-  /// cancellation, memory, failpoints). Edge and compose budgets are
-  /// cheap integer compares and are checked every pop. The default
-  /// keeps governance overhead under 2% of closure time (see
-  /// EXPERIMENTS.md) while bounding interrupt latency.
-  uint32_t GovernanceCheckInterval = 256;
-
   /// Periodic checkpointing: when CheckpointPath is non-empty, the
   /// closure saves a crash-consistent snapshot (core/Snapshot.cpp) to
   /// that path every CheckpointEveryPops worklist pops (0 = only the
@@ -169,16 +161,15 @@ struct SolverOptions {
   /// Record the provenance of every derived edge (which rule, from
   /// which premises) so that conflictWitness() can explain a
   /// Status::Inconsistent result as a chain of surface constraints
-  /// and resolution steps, and maintain the retraction indexes — the
-  /// premise parent links of every derived edge plus the (src, dst,
-  /// ann) → arena map they are resolved through — so that retract()
-  /// can compute a derivation cone without replaying the closure
-  /// (DESIGN.md §11). Costs memory per edge and, per fresh insert, the
-  /// provenance record plus two hash-map operations; off by default.
+  /// and resolution steps, and retract() can compute a derivation
+  /// cone without replaying the closure (DESIGN.md §11). Both derive
+  /// the premise links they walk from these records when called.
+  /// Costs one 32-byte provenance record per fresh edge and
+  /// conflict; off by default.
   bool TrackProvenance = false;
 
-  /// No effect: TrackProvenance alone maintains the retraction
-  /// indexes. Kept only so that callers which still set it alongside
+  /// No effect: TrackProvenance alone makes a solver retractable.
+  /// Kept only so that callers which still set it alongside
   /// TrackProvenance compile unchanged.
   bool Incremental = false;
 };
@@ -504,17 +495,11 @@ public:
   /// Explains conflicts()[I] as an ordered derivation chain: surface
   /// constraints first, then the resolution steps (transitive,
   /// decomposition, projection) that derived the constructor
-  /// mismatch, one rendered line per step. Requires
-  /// Options.TrackProvenance from the first solve(); returns an empty
-  /// vector otherwise or when I is out of range.
-  std::vector<std::string> conflictWitness(size_t I) const;
-
-  /// conflictWitness with a diagnosis instead of a silent empty
-  /// vector: explains *why* no witness is available (provenance not
-  /// tracked from the first solve, or the index out of range) so
-  /// frontends can tell the user to enable TrackProvenance rather
-  /// than print nothing.
-  Expected<std::vector<std::string>> conflictWitnessEx(size_t I) const;
+  /// mismatch, one rendered line per step. A Diag says why no witness
+  /// is available: provenance not tracked from the first solve() (so
+  /// frontends can tell the user to enable TrackProvenance), or \p I
+  /// out of range.
+  Expected<std::vector<std::string>> conflictWitness(size_t I) const;
 
   /// The representative of \p V after cycle elimination (vars merged
   /// into a cycle share all bounds).
@@ -599,8 +584,9 @@ public:
 private:
   /// Test-only backdoor (tests/SolverTestAccess.h): mutates solved
   /// states into corrupt ones to prove the certifier rejects them, and
-  /// lowers ParallelFrontierThreshold to force rounds on tiny systems.
-  /// Never referenced by product code.
+  /// lowers ParallelFrontierThreshold and GovernanceCheckInterval to
+  /// force rounds and governance checks on tiny systems. Never
+  /// referenced by product code.
   friend struct SolverTestAccess;
 
   struct Edge {
@@ -618,8 +604,9 @@ private:
 
   /// Provenance of one derived edge (Options.TrackProvenance): the
   /// rule that first derived it and its premises. Premise edges are
-  /// stored as (src, dst, ann) triples; conflictWitness() resolves
-  /// them against the arena when rendering.
+  /// stored as (src, dst, ann) triples; conflictWitness(), retract()
+  /// and rebuildProofLog() resolve them to arena indices on demand
+  /// (premiseLinks() in Solver.cpp).
   struct EdgeProv {
     enum class Rule : uint8_t { Surface, Transitive, Decompose, Projection };
     Rule Kind = Rule::Surface;
@@ -708,7 +695,7 @@ private:
   void parallelRound(size_t Frontier, unsigned Threads);
 
   /// The slow governance checks (cancellation, deadline, memory,
-  /// failpoints), run every Options.GovernanceCheckInterval pops.
+  /// failpoints), run every GovernanceCheckInterval pops.
   /// \returns Solved when nothing tripped.
   Status governanceCheck(std::chrono::steady_clock::time_point Start);
 
@@ -718,22 +705,6 @@ private:
   /// CrashAfterRename failpoint (a successful save followed by a
   /// simulated kill, for the crash-recovery tests).
   void periodicCheckpoint();
-
-  /// Arena index of the edge with this exact (src, dst, ann) triple,
-  /// or ~0u when absent / the triple is an invalid premise slot.
-  /// O(1) via the incremental triple map.
-  uint32_t provEdgeIndex(const Edge &E) const;
-
-  /// Registers arena edge \p I in the triple map (two-level: (src,
-  /// dst) pair id, then (pair, ann) → index).
-  void registerProvEdge(ExprId Src, ExprId Dst, AnnId Ann, uint32_t I);
-
-  /// Rebuilds the triple map and the parent links from
-  /// EdgeArena/EdgeProvs (after a snapshot restore or a retraction
-  /// compaction; both are deterministic functions of the provenance
-  /// records, which is how snapshots round-trip the index without
-  /// serializing it).
-  void rebuildProvIndex();
 
   /// \name Proof emission (core/ProofLog.cpp hosts the writer;
   /// Solver.cpp hosts these hooks)
@@ -783,22 +754,11 @@ private:
   // Provenance (Options.TrackProvenance). EdgeProvs is parallel to
   // EdgeArena; ConflictProvs to Conflicts. CurProv is set by each
   // derivation site just before its addEdge call and consumed by
-  // insertFreshEdge.
+  // insertFreshEdge. The premise links between records are not
+  // stored: the cold paths that walk them derive them on demand.
   std::vector<EdgeProv> EdgeProvs;
   std::vector<EdgeProv> ConflictProvs;
   EdgeProv CurProv;
-
-  // Retraction indexes (Options.TrackProvenance): per arena edge, the
-  // arena indices of its first derivation's premise edges (~0u =
-  // none/not an edge premise), resolved at insertion through the
-  // two-level triple map below. retract() inverts the parent links
-  // into a children index on demand and walks it to the derivation
-  // cone. Parallel to EdgeArena, like EdgeProvs.
-  std::vector<uint32_t> ProvPar1;
-  std::vector<uint32_t> ProvPar2;
-  FlatMap64 ProvPairIds; // (src << 32 | dst) -> dense pair id
-  FlatMap64 ProvTriples; // (pair id << 32 | ann) -> arena index
-  uint32_t NextProvPairId = 0;
 
   // Cycle elimination: variable representatives.
   mutable UnionFind VarReps;
@@ -850,6 +810,14 @@ private:
   // handful of edges costs more than it saves). Tests lower it through
   // SolverTestAccess to force rounds on tiny systems.
   uint32_t ParallelFrontierThreshold;
+
+  // Worklist pops between the "slow" governance checks (deadline,
+  // cancellation, memory, failpoints); edge and compose budgets are
+  // integer compares checked every pop. 256 keeps governance under 2%
+  // of closure time (EXPERIMENTS.md) while bounding interrupt latency.
+  // Tests lower it through SolverTestAccess so failpoints and budgets
+  // trip on tiny systems.
+  uint32_t GovernanceCheckInterval;
 
   // Frontier-parallel round scratch (Options.Threads > 1), kept
   // across rounds so allocations amortize. The limit vectors hold the

@@ -171,7 +171,7 @@ private:
 
 /// Insert-only open-addressed map uint64_t -> uint32_t (same probing
 /// scheme as FlatSet64, keys and values in parallel arrays). Used to
-/// assign dense row indices to (src, dst) node pairs.
+/// resolve provenance premise triples to arena indices.
 class FlatMap64 {
   static constexpr uint64_t Empty = ~uint64_t(0);
 
@@ -227,28 +227,6 @@ public:
       Cap *= 2;
     if (Cap > Keys.size())
       rehash(Cap);
-  }
-
-  /// Empties the map but keeps its capacity (the incremental solver
-  /// rebuilds its provenance indexes in place after a retraction).
-  void clear() {
-    std::fill(Keys.begin(), Keys.end(), Empty);
-    std::fill(Values.begin(), Values.end(), 0u);
-    Count = 0;
-  }
-
-  /// Heap bytes held (for the solver's approximate memory budget).
-  size_t memoryBytes() const {
-    return Keys.capacity() * sizeof(uint64_t) +
-           Values.capacity() * sizeof(uint32_t);
-  }
-
-  /// Invokes \p F(key, value) for every entry, in slot (hash) order —
-  /// NOT insertion order.
-  template <typename Fn> void forEach(Fn &&F) const {
-    for (size_t I = 0, E = Keys.size(); I != E; ++I)
-      if (Keys[I] != Empty)
-        F(Keys[I], Values[I]);
   }
 
 private:

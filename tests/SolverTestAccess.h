@@ -19,8 +19,9 @@
 namespace rasc {
 
 /// Every method either reads private closure state, corrupts it in one
-/// targeted way (the certifier mutation tests), or lowers the parallel
-/// frontier threshold; nothing here is reachable from product code.
+/// targeted way (the certifier mutation tests), lowers the parallel
+/// frontier threshold or the governance cadence, or zeroes the
+/// wall-clock timings; nothing here is reachable from product code.
 struct SolverTestAccess {
   using Edge = BidirectionalSolver::Edge;
   using Prov = BidirectionalSolver::EdgeProv;
@@ -31,6 +32,22 @@ struct SolverTestAccess {
   static void setParallelFrontierThreshold(BidirectionalSolver &S,
                                            uint32_t N) {
     S.ParallelFrontierThreshold = N;
+  }
+
+  /// Sets the worklist pops between slow governance checks (deadline,
+  /// cancellation, memory, failpoints); \p N >= 1. 1 makes budgets and
+  /// failpoints trip on tiny test systems.
+  static void setGovernanceCheckInterval(BidirectionalSolver &S,
+                                         uint32_t N) {
+    S.GovernanceCheckInterval = N;
+  }
+
+  /// Zeroes the wall-clock phase timings (SolverStats::IngestSeconds
+  /// and ClosureSeconds), so two solvers that did identical work save
+  /// byte-identical snapshots.
+  static void clearTimings(BidirectionalSolver &S) {
+    S.Stats.IngestSeconds = 0;
+    S.Stats.ClosureSeconds = 0;
   }
 
   static size_t arenaSize(const BidirectionalSolver &S) {

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "SolverTestAccess.h"
 #include "TestSystems.h"
 #include "core/BatchSolver.h"
 #include "dataflow/BitVector.h"
@@ -231,7 +232,7 @@ TEST(BatchSolver, CancellationIsResumable) {
   Checker.prepare();
   ASSERT_NE(Checker.solver(), nullptr);
   std::atomic<bool> Cancel{true};
-  Checker.solver()->options().GovernanceCheckInterval = 1;
+  SolverTestAccess::setGovernanceCheckInterval(*Checker.solver(), 1);
 
   BatchSolver::Options BO;
   BO.Threads = 2;
@@ -264,10 +265,9 @@ TEST(BatchSolver, CancelAllWakesBlockedSolveAll) {
   for (size_t I = 0; I != K; ++I) {
     Rng R(200 + I);
     Systems.push_back(testgen::randomSystem(R));
-    SolverOptions O;
-    O.GovernanceCheckInterval = 1;
     Solvers.push_back(
-        std::make_unique<BidirectionalSolver>(*Systems.back().CS, O));
+        std::make_unique<BidirectionalSolver>(*Systems.back().CS));
+    SolverTestAccess::setGovernanceCheckInterval(*Solvers.back(), 1);
     Ptrs.push_back(Solvers.back().get());
   }
 

@@ -155,27 +155,29 @@ unsigned checkCrashRecover(uint64_t Seed, Kind K, const Fixpoint &Expect,
     Rng R(Seed);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
     SolverOptions O = Base;
+    bool CheckEveryPop = true; // failpoints trip at governance checks
     switch (K) {
     case Kind::Edge:
       O.MaxEdges = N;
+      CheckEveryPop = false;
       break;
     case Kind::Step:
       O.MaxComposeSteps = N;
+      CheckEveryPop = false;
       break;
     case Kind::Memory:
-      O.GovernanceCheckInterval = 1;
       failpoints::arm(failpoints::Point::SolverEdgeInsert, N);
       break;
     case Kind::Deadline:
-      O.GovernanceCheckInterval = 1;
       failpoints::arm(failpoints::Point::SolverDeadline, N);
       break;
     case Kind::Cancel:
-      O.GovernanceCheckInterval = 1;
       failpoints::arm(failpoints::Point::SolverCancel, N);
       break;
     }
     BidirectionalSolver S(*Sys.CS, O);
+    if (CheckEveryPop)
+      SolverTestAccess::setGovernanceCheckInterval(S, 1);
     Status St = S.solve();
     failpoints::disarmAll();
     Interrupted = BidirectionalSolver::isInterrupted(St);
@@ -265,9 +267,9 @@ TEST_F(CrashRecovery, KillAfterPeriodicCheckpointRecovers) {
       SolverOptions O;
       O.CheckpointPath = Path;
       O.CheckpointEveryPops = 3;
-      O.GovernanceCheckInterval = 1;
       failpoints::arm(failpoints::Point::CrashAfterRename, 0);
       BidirectionalSolver S(*Sys.CS, O);
+      SolverTestAccess::setGovernanceCheckInterval(S, 1);
       Status St = S.solve();
       failpoints::disarmAll();
       if (!BidirectionalSolver::isInterrupted(St))

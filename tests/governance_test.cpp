@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "SolverTestAccess.h"
 #include "core/Domains.h"
 #include "core/Solver.h"
 #include "support/FailPoint.h"
@@ -123,8 +124,8 @@ TEST_F(GovernanceTest, CancellationFlag) {
   std::atomic<bool> Cancel{true};
   SolverOptions O;
   O.CancelFlag = &Cancel;
-  O.GovernanceCheckInterval = 1;
   BidirectionalSolver S(Sys.CS, O);
+  SolverTestAccess::setGovernanceCheckInterval(S, 1);
   ASSERT_EQ(S.solve(), Status::Cancelled);
   EXPECT_GT(S.stats().BudgetChecks, 0u);
 
@@ -140,8 +141,8 @@ TEST_F(GovernanceTest, MemoryBudget) {
   Chain Sys(40);
   SolverOptions O;
   O.MaxMemoryBytes = 1; // any real solve exceeds one byte
-  O.GovernanceCheckInterval = 1;
   BidirectionalSolver S(Sys.CS, O);
+  SolverTestAccess::setGovernanceCheckInterval(S, 1);
   ASSERT_EQ(S.solve(), Status::MemoryLimit);
   EXPECT_GT(S.memoryBytes(), 1u);
 
@@ -180,9 +181,8 @@ TEST_F(GovernanceTest, MemoryBytesAccountsProofWriter) {
 
 TEST_F(GovernanceTest, DeadlineFailpoint) {
   Chain Sys(40);
-  SolverOptions O;
-  O.GovernanceCheckInterval = 1;
-  BidirectionalSolver S(Sys.CS, O);
+  BidirectionalSolver S(Sys.CS);
+  SolverTestAccess::setGovernanceCheckInterval(S, 1);
   failpoints::arm(failpoints::Point::SolverDeadline, 0);
   ASSERT_EQ(S.solve(), Status::Deadline);
 
@@ -192,9 +192,8 @@ TEST_F(GovernanceTest, DeadlineFailpoint) {
 
 TEST_F(GovernanceTest, CancelFailpoint) {
   Chain Sys(40);
-  SolverOptions O;
-  O.GovernanceCheckInterval = 1;
-  BidirectionalSolver S(Sys.CS, O);
+  BidirectionalSolver S(Sys.CS);
+  SolverTestAccess::setGovernanceCheckInterval(S, 1);
   failpoints::arm(failpoints::Point::SolverCancel, 2);
   ASSERT_EQ(S.solve(), Status::Cancelled);
   expectSameFixpoint(S, Sys);
@@ -233,8 +232,8 @@ TEST_F(GovernanceTest, TinyDeadlineTripsOnRealClock) {
   Chain Sys(200);
   SolverOptions O;
   O.DeadlineSeconds = 1e-12;
-  O.GovernanceCheckInterval = 1;
   BidirectionalSolver S(Sys.CS, O);
+  SolverTestAccess::setGovernanceCheckInterval(S, 1);
   ASSERT_EQ(S.solve(), Status::Deadline);
 
   S.options().DeadlineSeconds = 0;
@@ -243,9 +242,8 @@ TEST_F(GovernanceTest, TinyDeadlineTripsOnRealClock) {
 
 TEST_F(GovernanceTest, GovernanceStatsCount) {
   Chain Sys(300);
-  SolverOptions O;
-  O.GovernanceCheckInterval = 16;
-  BidirectionalSolver S(Sys.CS, O);
+  BidirectionalSolver S(Sys.CS);
+  SolverTestAccess::setGovernanceCheckInterval(S, 16);
   ASSERT_EQ(S.solve(), Status::Solved);
   EXPECT_GT(S.stats().BudgetChecks, 0u);
   EXPECT_EQ(S.stats().Interrupts, 0u);
@@ -269,23 +267,27 @@ TEST_F(GovernanceTest, WitnessExplainsMismatch) {
   ASSERT_EQ(S.solve(), Status::Inconsistent);
   ASSERT_EQ(S.conflicts().size(), 1u);
 
-  std::vector<std::string> W = S.conflictWitness(0);
-  ASSERT_FALSE(W.empty());
+  Expected<std::vector<std::string>> W = S.conflictWitness(0);
+  ASSERT_TRUE(W) << W.error().render();
+  ASSERT_FALSE(W->empty());
   // Chain shape: surface premises first, mismatch last.
-  EXPECT_NE(W.front().find("[surface"), std::string::npos) << W.front();
-  EXPECT_NE(W.back().find("constructor mismatch"), std::string::npos)
-      << W.back();
+  EXPECT_NE(W->front().find("[surface"), std::string::npos) << W->front();
+  EXPECT_NE(W->back().find("constructor mismatch"), std::string::npos)
+      << W->back();
   // The mismatched edge names both constructors.
-  EXPECT_NE(W.back().find("a("), std::string::npos) << W.back();
-  EXPECT_NE(W.back().find("b("), std::string::npos) << W.back();
+  EXPECT_NE(W->back().find("a("), std::string::npos) << W->back();
+  EXPECT_NE(W->back().find("b("), std::string::npos) << W->back();
   // Each surface step cites a real constraint index.
   size_t SurfaceLines = 0;
-  for (const std::string &Line : W)
+  for (const std::string &Line : *W)
     if (Line.rfind("[surface", 0) == 0)
       ++SurfaceLines;
   EXPECT_EQ(SurfaceLines, 2u) << "both surface constraints cited";
 
-  EXPECT_TRUE(S.conflictWitness(1).empty()) << "out of range";
+  Expected<std::vector<std::string>> Out = S.conflictWitness(1);
+  ASSERT_FALSE(Out);
+  EXPECT_NE(Out.error().render().find("out of range"), std::string::npos)
+      << Out.error().render();
 }
 
 TEST_F(GovernanceTest, WitnessNeedsProvenanceTracking) {
@@ -300,7 +302,10 @@ TEST_F(GovernanceTest, WitnessNeedsProvenanceTracking) {
   BidirectionalSolver S(CS); // TrackProvenance off
   ASSERT_EQ(S.solve(), Status::Inconsistent);
   ASSERT_EQ(S.conflicts().size(), 1u);
-  EXPECT_TRUE(S.conflictWitness(0).empty());
+  Expected<std::vector<std::string>> W = S.conflictWitness(0);
+  ASSERT_FALSE(W);
+  EXPECT_NE(W.error().render().find("TrackProvenance"), std::string::npos)
+      << W.error().render();
 }
 
 TEST_F(GovernanceTest, WitnessSurvivesInterruptAndResume) {
@@ -330,9 +335,10 @@ TEST_F(GovernanceTest, WitnessSurvivesInterruptAndResume) {
   }
   ASSERT_EQ(St, Status::Inconsistent);
   ASSERT_FALSE(S.conflicts().empty());
-  std::vector<std::string> W = S.conflictWitness(0);
-  ASSERT_FALSE(W.empty());
-  EXPECT_NE(W.back().find("constructor mismatch"), std::string::npos);
+  Expected<std::vector<std::string>> W = S.conflictWitness(0);
+  ASSERT_TRUE(W) << W.error().render();
+  ASSERT_FALSE(W->empty());
+  EXPECT_NE(W->back().find("constructor mismatch"), std::string::npos);
 }
 
 } // namespace

@@ -53,10 +53,12 @@ TEST(ProGen, StructuralInvariants) {
     for (StmtId Succ : St.Succs)
       EXPECT_EQ(P.stmt(Succ).Parent, St.Parent);
     // After finalize() only exits are successor-free.
-    if (St.Succs.empty())
+    if (St.Succs.empty()) {
       EXPECT_EQ(S, P.exit(St.Parent));
-    if (St.Kind == Stmt::Call)
+    }
+    if (St.Kind == Stmt::Call) {
       EXPECT_LT(St.Callee, P.numFunctions());
+    }
   }
   // Entry reaches exit within each function (the generator builds a
   // straight spine plus forward branches).
@@ -84,8 +86,9 @@ TEST(ProGen, NoRecursionMeansDagCallGraph) {
   Program P = generateProgram(O);
   for (StmtId S = 0; S != P.numStatements(); ++S) {
     const Stmt &St = P.stmt(S);
-    if (St.Kind == Stmt::Call)
+    if (St.Kind == Stmt::Call) {
       EXPECT_GT(St.Callee, St.Parent) << "call must point forward";
+    }
   }
 }
 
@@ -97,10 +100,12 @@ TEST(ProGen, PackageScalesWithLines) {
   EXPECT_GT(Large.numFunctions(), 5 * Small.numFunctions());
 
   // Ops use the property's alphabet.
-  for (StmtId S = 0; S != Small.numStatements(); ++S)
-    if (Small.stmt(S).Kind == Stmt::Op)
+  for (StmtId S = 0; S != Small.numStatements(); ++S) {
+    if (Small.stmt(S).Kind == Stmt::Op) {
       EXPECT_TRUE(
           Spec.machine().symbol(Small.stmt(S).OpSymbol).has_value());
+    }
+  }
 }
 
 TEST(ProGen, ParametricLabelsAttachOnlyToParametricSymbols) {

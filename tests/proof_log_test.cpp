@@ -21,7 +21,9 @@
 ///    solve; an injected short read makes recovery truncate — which
 ///    is always safe, the log merely proves less.
 ///  - Enabling the log on an already-solved provenance-tracking
-///    solver rebuilds a complete, checkable proof.
+///    solver rebuilds a complete, checkable proof — also after a
+///    retraction, byte-identical to the log a solver restored from
+///    the post-retract snapshot rebuilds.
 ///  - retract() seals the log as unproven and clears the request;
 ///    re-setting the path rebuilds a fresh valid proof.
 ///  - The --system cross-check accepts the very file the log was
@@ -42,6 +44,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <unistd.h>
 
@@ -57,6 +61,23 @@ rasccheck::CheckResult check(const std::string &LogPath,
   O.LogPath = LogPath;
   O.SystemPath = SystemPath;
   return rasccheck::checkProofLog(O);
+}
+
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Whether retract() accepts constraint \p J of a system \p S solved:
+/// an identity variable-variable constraint cannot be retracted once
+/// cycle elimination merged variables.
+bool retractable(const BidirectionalSolver &S, const ConstraintSystem &CS,
+                 uint32_t J) {
+  const Constraint &C = CS.constraints()[J];
+  return S.stats().CollapsedVars == 0 || C.Ann != CS.domain().identity() ||
+         CS.expr(C.Lhs).Kind != ExprKind::Var ||
+         CS.expr(C.Rhs).Kind != ExprKind::Var;
 }
 
 class ProofLogTest : public ::testing::Test {
@@ -217,6 +238,9 @@ TEST_F(ProofLogTest, InjectedShortReadTruncatesRecovery) {
 
 TEST_F(ProofLogTest, RebuildFromProvenanceOnStartedSolver) {
   const std::string Path = tempPath("prooflog_rebuild.rprf");
+  const std::string RetractedLog = tempPath("prooflog_rebuild_r.rprf");
+  const std::string RestoredLog = tempPath("prooflog_rebuild_rr.rprf");
+  const std::string Snap = tempPath("prooflog_rebuild.rsnap");
   for (uint64_t Seed : {3u, 17u, 41u}) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed * 7919 + 17);
@@ -233,8 +257,38 @@ TEST_F(ProofLogTest, RebuildFromProvenanceOnStartedSolver) {
     ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
     rasccheck::CheckResult C = check(Path);
     EXPECT_TRUE(C.ok()) << C.Message;
+
+    // After a retraction the compacted arena replays in the premise
+    // links' topological order; a solver restored from the
+    // post-retract snapshot derives the same links and must rebuild
+    // the same log, byte for byte.
+    BidirectionalSolver RS(*Sys.CS, O);
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(RS.solve()));
+    uint32_t Idx = static_cast<uint32_t>(Seed % Sys.CS->constraints().size());
+    while (!retractable(RS, *Sys.CS, Idx))
+      Idx = (Idx + 1) % static_cast<uint32_t>(Sys.CS->constraints().size());
+    ASSERT_FALSE(Sys.CS->retract(Idx));
+    Expected<Status> Retracted = RS.retract(Idx);
+    ASSERT_TRUE(Retracted) << Retracted.error().render();
+    ASSERT_GT(RS.stats().RetractedEdges, 0u);
+    ASSERT_FALSE(RS.saveCheckpoint(Snap));
+    RS.options().ProofLogPath = RetractedLog;
+    EXPECT_EQ(RS.solve(), *Retracted);
+    ASSERT_FALSE(RS.lastProofDiag()) << RS.lastProofDiag()->render();
+    C = check(RetractedLog);
+    EXPECT_TRUE(C.ok()) << C.Message;
+
+    BidirectionalSolver Restored(*Sys.CS, O);
+    std::optional<Diag> D = Restored.restore(Snap);
+    ASSERT_FALSE(D) << D->render();
+    Restored.options().ProofLogPath = RestoredLog;
+    EXPECT_EQ(Restored.solve(), *Retracted);
+    ASSERT_FALSE(Restored.lastProofDiag())
+        << Restored.lastProofDiag()->render();
+    EXPECT_TRUE(fileBytes(RestoredLog) == fileBytes(RetractedLog));
   }
-  std::remove(Path.c_str());
+  for (const std::string &P : {Path, RetractedLog, RestoredLog, Snap})
+    std::remove(P.c_str());
 }
 
 TEST_F(ProofLogTest, RetractSealsUnprovenThenRebuilds) {

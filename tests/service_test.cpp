@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SolverTestAccess.h"
 #include "check/Checker.h"
 #include "service/Protocol.h"
 #include "service/Rascd.h"
@@ -56,9 +57,6 @@ protected:
     Opts.Port = 0;
     Opts.RetryAfterMs = 50;
     Opts.IdleTimeoutMs = 10000;
-    // Tiny governance cadence so budget/cancel failpoints trip even on
-    // the small systems these tests solve.
-    Opts.Session.GovernanceCheckInterval = 1;
   }
 
   void TearDown() override {
@@ -68,6 +66,16 @@ protected:
       D.reset();
     }
     fs::remove_all(Dir);
+  }
+
+  /// Runs resident system \p Name's governance checks every worklist
+  /// pop, so budgets and failpoints trip on the tiny programs loaded
+  /// here.
+  void checkEveryPop(const std::string &Name) {
+    std::shared_ptr<ResidentSystem> Sys = D->findSystem(Name);
+    ASSERT_TRUE(Sys);
+    std::lock_guard<std::mutex> L(Sys->Mx);
+    SolverTestAccess::setGovernanceCheckInterval(*Sys->Solver, 1);
   }
 
   void startDaemon() {
@@ -705,6 +713,7 @@ TEST_F(ServiceTest, BudgetedSolveReportsInterruptAndResumes) {
   Conn C = connect();
   Frame R = rpc(C, Op::Load, std::string("budget\n") + SmallProgram);
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  checkEveryPop("budget");
   {
     // Deterministic deadline: trips in the first governance check
     // (cadence 1) instead of depending on a real clock.
@@ -735,6 +744,7 @@ TEST_F(ServiceTest, AggregateMemoryCapInterruptsWithMemoryLimit) {
   Conn C = connect();
   Frame R = rpc(C, Op::Load, std::string("oom\n") + SmallProgram);
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  checkEveryPop("oom");
   R = rpc(C, Op::Solve, "");
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
   EXPECT_EQ(kvGet(R.Body, "status"), "memory-limit");

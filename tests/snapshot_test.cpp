@@ -254,7 +254,11 @@ TEST_F(Snapshot, RoundTripWithProvenance) {
   EXPECT_EQ(fixpoint(S2, *Sys.CS), fixpoint(S, *Sys.CS));
   // Provenance survives: witnesses render identically.
   if (S.status() == Status::Inconsistent) {
-    EXPECT_EQ(S2.conflictWitness(0), S.conflictWitness(0));
+    Expected<std::vector<std::string>> W = S.conflictWitness(0);
+    Expected<std::vector<std::string>> W2 = S2.conflictWitness(0);
+    ASSERT_TRUE(W) << W.error().render();
+    ASSERT_TRUE(W2) << W2.error().render();
+    EXPECT_EQ(*W2, *W);
   }
   std::remove(Path.c_str());
 }
